@@ -88,15 +88,16 @@ bench:
 
 # Allocation-regression smoke for CI: the port-path allocation and packet-slab
 # churn gates (committed allocs/op + ns/op ceilings), the event-scheduler
-# hot-path and cold-pending-set gates (committed schedule/cancel ceilings, both
-# schedulers, cache-hot and out-of-cache), the flow-table lookup gate, one
+# hot-path, cold-pending-set and fabric-delta gates (committed schedule/cancel
+# ceilings, both schedulers, cache-hot, out-of-cache and at the delta mix of
+# real fabric runs), the flow-table lookup gate, one
 # quick iteration of the hot-path benchmarks, and the race detector over the
 # packet-pool tests.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPortPath|BenchmarkPacketSlabChurn' -benchtime=100x -benchmem \
 		-run='TestPortPathAllocs|TestPacketSlabChurnGate' ./internal/netem
 	$(GO) test -bench=. -benchtime=1x -benchmem \
-		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate' ./internal/sim
+		-run='TestSchedulerHotPathGate|TestEngineScheduleColdGate|TestEngineFabricDeltasGate' ./internal/sim
 	$(GO) test -bench=BenchmarkFlowTableLookup -benchtime=100x -benchmem \
 		-run=TestFlowTableLookupGate ./internal/transport/rdbase
 	$(GO) test -run=TestCollectorScratchAllocs ./internal/stats

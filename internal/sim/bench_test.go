@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/raceflag"
@@ -75,7 +76,9 @@ func BenchmarkTimerReset(b *testing.B) {
 
 // BenchmarkEngineCancel measures schedule-then-cancel round trips — the cost
 // of a retransmission timer that is armed and then satisfied before firing.
-// Cancel is a true removal, so the queue never accumulates dead entries.
+// Canceling an event due in the current tick removes its run entry outright;
+// the wheel's tombstones elsewhere are compacted once they outnumber live
+// events.
 func BenchmarkEngineCancel(b *testing.B) {
 	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
 		b.Run(string(kind), func(b *testing.B) {
@@ -149,6 +152,75 @@ func BenchmarkEngineScheduleCold(b *testing.B) {
 	}
 }
 
+// fabricDelta draws how far ahead an event is scheduled, from the mix
+// measured on the scale and paper-figure workloads: about 3% inside one
+// 4.1 ns tick, 37% at 4–262 ns (serialization and propagation) and 60% at
+// 262 ns–17 µs (credit pacing, RTT-scale timers). Every other gate schedules
+// 1–4096 ps ahead, which never reaches the wheel's upper levels.
+func fabricDelta(r uint64) Duration {
+	switch p, v := r%100, Duration(r>>8); {
+	case p < 3:
+		return 1 + v%4096
+	case p < 40:
+		return 4096 + v%(262144-4096)
+	default:
+		return 262144 + v%(1<<24-262144)
+	}
+}
+
+// fabricChain fires with a standing pending population: every firing
+// schedules one replacement at a fabricDelta, until left runs out.
+type fabricChain struct {
+	e    *Engine
+	rng  uint64
+	left int
+}
+
+func (c *fabricChain) Fire() {
+	if c.left <= 0 {
+		return
+	}
+	c.left--
+	c.rng ^= c.rng << 13
+	c.rng ^= c.rng >> 7
+	c.rng ^= c.rng << 17
+	c.e.AfterHandler(fabricDelta(c.rng), c)
+}
+
+// fabricEngine parks pending events at fabric deltas and returns the chain
+// that keeps the population standing for left more firings.
+func fabricEngine(kind SchedulerKind, pending, left int) (*Engine, *fabricChain) {
+	e := NewEngineWith(kind)
+	c := &fabricChain{e: e, rng: 0x9e3779b97f4a7c15}
+	for range pending {
+		c.left = 1
+		c.Fire()
+	}
+	c.left = left
+	return e, c
+}
+
+// fabricPendings are the standing populations of the fabric-delta benchmark:
+// about the peak pending events of a paper-figure run and of the 64-host
+// scale cell.
+var fabricPendings = []int{600, 8192}
+
+// BenchmarkEngineFabricDeltas measures schedule+fire at the delta mix and
+// pending populations of real fabric runs — the regime where events cascade
+// down the wheel's levels.
+func BenchmarkEngineFabricDeltas(b *testing.B) {
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		for _, n := range fabricPendings {
+			b.Run(fmt.Sprintf("%s/pending=%d", kind, n), func(b *testing.B) {
+				e, _ := fabricEngine(kind, n, b.N)
+				b.ReportAllocs()
+				b.ResetTimer()
+				e.Run()
+			})
+		}
+	}
+}
+
 // Committed hot-path budgets for the CI smoke gate. The steady state is zero
 // allocations; the ns ceilings are deliberately loose (an order of magnitude
 // above the recorded numbers in BENCH_micro.json) so the gate catches
@@ -160,6 +232,7 @@ const (
 	schedNsCeiling      = 2000 // ns per schedule+fire cycle
 	cancelNsCeiling     = 2000 // ns per schedule+cancel round trip
 	coldNsCeiling       = 4000 // ns per schedule+fire cycle against the cold pending set
+	fabricNsCeiling     = 4000 // ns per schedule+fire cycle at fabric deltas
 	schedGateIterations = 20000
 )
 
@@ -196,6 +269,44 @@ func TestEngineScheduleColdGate(t *testing.T) {
 		})
 		if ns := res.NsPerOp(); res.N >= schedGateIterations && ns > coldNsCeiling {
 			t.Errorf("%s: cold schedule+fire %d ns/op, ceiling %d", kind, ns, coldNsCeiling)
+		}
+	}
+}
+
+// TestEngineFabricDeltasGate holds schedule+fire at fabric deltas to its
+// committed budget on both schedulers: allocation-free once the pending
+// population is parked, and within the fabric ns ceiling.
+func TestEngineFabricDeltasGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing gate skipped in -short mode")
+	}
+	for _, kind := range []SchedulerKind{SchedWheel, SchedHeap} {
+		for _, n := range fabricPendings {
+			e, _ := fabricEngine(kind, n, 1<<30)
+			cycle := func() {
+				e.RunUntil(e.Now() + 1<<12)
+			}
+			for range 1000 { // warm the slab and the wheel's blocks
+				cycle()
+			}
+			if e.Pending() != n {
+				t.Fatalf("%s: %d events pending, want the standing %d", kind, e.Pending(), n)
+			}
+			if avg := testing.AllocsPerRun(1000, cycle); avg > schedAllocCeiling {
+				t.Errorf("%s/pending=%d: fabric schedule+fire allocates %.3f objects/op, ceiling %v",
+					kind, n, avg, schedAllocCeiling)
+			}
+			if raceflag.Enabled {
+				continue // ns ceilings are meaningless under race instrumentation
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				e, _ := fabricEngine(kind, n, b.N)
+				b.ResetTimer()
+				e.Run()
+			})
+			if ns := res.NsPerOp(); res.N >= schedGateIterations && ns > fabricNsCeiling {
+				t.Errorf("%s/pending=%d: fabric schedule+fire %d ns/op, ceiling %d", kind, n, ns, fabricNsCeiling)
+			}
 		}
 	}
 }

@@ -23,8 +23,9 @@ const (
 // resolve (fire or cancel); callers refer to them only through the
 // generation-checked Handle returned by At/After, never by raw pointer or
 // index. The layout packs the dispatch keys (time, schedAt, seq) and the
-// handler word into one cache line; the cold closure path lives outside the
-// struct entirely (eventSlab.fns).
+// handler word into one cache line, padded to fill it so no event straddles
+// two; the cold closure path lives outside the struct entirely
+// (eventSlab.fns).
 type Event struct {
 	time Time
 	seq  uint64
@@ -41,16 +42,14 @@ type Event struct {
 	// the same order a single sequential engine would have produced.
 	schedAt Time
 
-	// Scheduler residency, all in slab indices. The heap uses index; the
-	// wheel links the event into an intrusive list (a slot, the overflow
-	// level, or the dispatch batch) named by in. An event outside any queue
-	// has index -1 and in == listNone.
-	next, prev uint32
-	index      int32
-	in         uint16
+	// next threads the slab's free list; index is the event's heap position
+	// (-1 outside the heap). The wheel keeps its own entries.
+	next  uint32
+	index int32
 
 	gen   uint32 // bumped each time the slot is (re)issued
 	flags uint8
+	_     [8]byte // pads the event to one 64-byte cache line
 }
 
 func (ev *Event) fired() bool    { return ev.flags&evFired != 0 }
@@ -108,8 +107,9 @@ func (h Handle) Canceled() bool {
 	return ev != nil && ev.canceled() && !ev.fired()
 }
 
-// Cancel prevents the event from firing and removes it from the scheduler
-// immediately — O(1) on the wheel, O(log n) on the heap — so the event
+// Cancel prevents the event from firing and takes it out of the pending set
+// immediately — O(1) on the wheel, which leaves a tombstone entry to be
+// dropped when it surfaces, O(log n) removal on the heap — so the event
 // slot recycles at once and Pending drops by one. Canceling an
 // already-fired event, an already-canceled event, or through a stale handle
 // is a no-op.
@@ -147,7 +147,7 @@ func NewEngineWith(kind SchedulerKind) *Engine {
 	case SchedHeap:
 		e.q = &heapQueue{sl: &e.slab}
 	case SchedWheel, "":
-		e.q = newWheel(&e.slab)
+		e.q = &wheel{sl: &e.slab}
 	default:
 		panic(fmt.Sprintf("sim: unknown scheduler kind %q", kind))
 	}
@@ -160,8 +160,8 @@ func (e *Engine) Scheduler() SchedulerKind { return e.q.kind() }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events waiting to fire. Cancellation removes
-// an event from the scheduler immediately, so every counted event will fire:
+// Pending returns the number of events waiting to fire. Cancellation takes
+// an event out of this count immediately, so every counted event will fire:
 // a simulation with Pending() == 0 will fire nothing more.
 func (e *Engine) Pending() int { return e.q.size() }
 
@@ -278,11 +278,12 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 
 // CheckInvariants verifies the engine's internal bookkeeping: the scheduler's
 // own structure (heap order and index bookkeeping, or wheel slot membership,
-// occupancy bitmaps, cascade currency and overflow horizon), that no pending
-// event is behind the clock, and that the slab's free list holds only
-// resolved, fully unlinked events. It returns nil when everything is
-// coherent; the audit layer calls it at drain time, and it is cheap enough
-// to call in tests after every run.
+// occupancy bitmaps, cascade currency, run order, overflow horizon and the
+// live, tombstone and block counts), that no pending event is behind the
+// clock, and that the slab's free list holds only resolved events outside
+// the heap. It returns nil when everything is coherent; the audit layer
+// calls it at drain time, and it is cheap enough to call in tests after
+// every run.
 func (e *Engine) CheckInvariants() error {
 	if err := e.q.check(e.now); err != nil {
 		return err
@@ -295,9 +296,6 @@ func (e *Engine) CheckInvariants() error {
 		ev := e.slab.at(i)
 		if ev.index != -1 {
 			return fmt.Errorf("sim: free-list entry %d carries heap index %d", i, ev.index)
-		}
-		if ev.in != listNone {
-			return fmt.Errorf("sim: free-list entry %d still claims wheel list %d", i, ev.in)
 		}
 		if ev.h != nil || ev.flags&evHasFn != 0 || e.slab.fn(i) != nil {
 			return fmt.Errorf("sim: free-list entry %d retains a callback", i)

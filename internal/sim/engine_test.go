@@ -154,10 +154,9 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-// Cancel is a true removal: Pending drops the moment Cancel returns — there
-// is no canceled-but-undrained resident state — and a double cancel changes
-// nothing. (PR 1 pinned the older lazy-cancellation exclusion semantics; the
-// observable counts are identical, the removal is just immediate now.)
+// Cancel takes an event out of the pending set at once: Pending drops the
+// moment Cancel returns — whatever tombstone the wheel keeps is invisible —
+// and a double cancel changes nothing.
 func TestEnginePendingDropsOnCancel(t *testing.T) {
 	e := NewEngine()
 	evA := e.At(10, func() {})

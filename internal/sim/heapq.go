@@ -6,8 +6,8 @@ import (
 
 // heapQueue is the reference scheduler: a binary min-heap of slab indices
 // ordered by (time, schedAt, seq). Every operation is O(log n); Cancel is a
-// true removal via the event's stored heap position, so — like the wheel —
-// the heap never holds a canceled event. It exists as the differential
+// true removal via the event's stored heap position, so the heap never holds
+// a canceled event (the wheel keeps tombstones). It exists as the differential
 // baseline for the wheel (FuzzSchedulerEquivalence, the golden digests) and
 // as the -sched=heap escape hatch. The sift routines mirror container/heap;
 // since (time, schedAt, seq) is a strict total order (seq is unique), pop

@@ -1,8 +1,8 @@
 package sim
 
 // Event storage: a chunked, non-moving slab arena. Events are addressed by
-// dense uint32 indices instead of pointers, so the scheduler's intrusive
-// links, the heap's positions and every Handle are 4-byte indices into
+// dense uint32 indices instead of pointers, so the wheel's entries, the
+// heap's positions, the free list and every Handle are 4-byte indices into
 // contiguous chunks — the hot pending set packs into a few cache-resident
 // pages instead of being scattered across the GC heap, and the chunks
 // themselves hold no pointers the collector must trace (the cold closure
@@ -25,7 +25,7 @@ const (
 	eventChunkMask = EventChunkSize - 1
 )
 
-// nilIdx is the null event index: the end of every intrusive list and the
+// nilIdx is the null event index: the end of the free list and the
 // "no event" return of popDue. Index 0 is a valid slot, so the sentinel is
 // the all-ones pattern.
 const nilIdx = ^uint32(0)
@@ -57,8 +57,8 @@ func (s *eventSlab) at(i uint32) *Event {
 
 // alloc returns a free slot: the head of the free list when one is
 // available, otherwise the next carved slot (growing by one chunk when the
-// current one is exhausted). Fresh slots come up with clean link state;
-// recycled slots were cleaned by the unlink that preceded their release.
+// current one is exhausted). Fresh slots come up outside any queue;
+// recycled slots were taken out of theirs before their release.
 func (s *eventSlab) alloc() (*Event, uint32) {
 	if s.freeHead != nilIdx {
 		idx := s.freeHead
@@ -76,8 +76,7 @@ func (s *eventSlab) alloc() (*Event, uint32) {
 	s.carved++
 	ev := s.at(idx)
 	ev.index = -1
-	ev.in = listNone
-	ev.next, ev.prev = nilIdx, nilIdx
+	ev.next = nilIdx
 	return ev, idx
 }
 
@@ -88,7 +87,6 @@ func (s *eventSlab) alloc() (*Event, uint32) {
 func (s *eventSlab) free(idx uint32) {
 	ev := s.at(idx)
 	ev.next = s.freeHead
-	ev.prev = nilIdx
 	s.freeHead = idx
 	s.freeLen++
 }

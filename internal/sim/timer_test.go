@@ -63,8 +63,8 @@ func TestStaleHandleIsInertAfterRecycle(t *testing.T) {
 	}
 }
 
-// Cancel is a true removal: the object recycles immediately (no
-// canceled-but-undrained residency), and a stale handle to it keeps
+// Cancel recycles the event object immediately (a wheel tombstone refers to
+// it only by index and generation), and a stale handle to it keeps
 // reporting Canceled until the object is reused, then goes inert.
 func TestStaleHandleAfterCancel(t *testing.T) {
 	e := NewEngine()
