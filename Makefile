@@ -40,10 +40,13 @@ audit:
 # Golden-digest gate, one explicit invocation per event scheduler: the pinned
 # behavior digests must be byte-identical under the reference heap and the
 # timing wheel (the default). A drift here is a scheduler bug, not a tuning
-# knob — see internal/experiments/golden_test.go.
+# knob — see internal/experiments/golden_test.go. The deferred tx-done
+# differential rides along: every golden scheme, an impaired run and a
+# two-shard run must digest identically with tx-done events deferred (as
+# built) and forced eager (internal/experiments/deferred_test.go).
 golden:
-	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=heap
-	$(GO) test -run 'TestGoldenDigests' ./internal/experiments -sched=wheel
+	$(GO) test -run 'TestGoldenDigests|TestDeferredTxDoneDifferential' ./internal/experiments -sched=heap
+	$(GO) test -run 'TestGoldenDigests|TestDeferredTxDoneDifferential' ./internal/experiments -sched=wheel
 
 # Sharded-engine gate, race-enabled: the golden digest matrix across
 # shards x scheduler x pool (byte-identical to the pinned sequential digests),

@@ -580,12 +580,16 @@ func (a *Auditor) Finish() *Report {
 		a.report.add(Violation{Check: "engine-state", Detail: err.Error()})
 	}
 
-	// Queue-counter coherence and, when fully drained, empty backlogs.
+	// Queue-counter coherence, no packet stranded behind a deferred tx-done
+	// and, when fully drained, empty backlogs.
 	drained := a.eng.Pending() == 0
 	var backlog int64
 	for _, pt := range a.ports {
 		if err := netem.AuditQdisc(pt.Q); err != nil {
 			a.report.add(Violation{Check: "qdisc-backlog", Where: pt.Label, Detail: err.Error()})
+		}
+		if err := pt.CheckDeferred(); err != nil {
+			a.report.add(Violation{Check: "stranded-queue", Where: pt.Label, Detail: err.Error()})
 		}
 		backlog += pt.Q.Backlog().Bytes
 	}

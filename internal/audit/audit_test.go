@@ -156,6 +156,33 @@ func TestAuditorDetectsResidualAfterDrain(t *testing.T) {
 	}
 }
 
+// TestAuditorDetectsStrandedQueue corrupts a port the way a qdisc bypassing
+// Port.Send would: a packet is enqueued behind a transmission whose tx-done
+// was deferred (the qdisc was empty when it started), and no kick follows,
+// so no tx-done is ever scheduled to send it.
+func TestAuditorDetectsStrandedQueue(t *testing.T) {
+	net := testNet()
+	a := Attach(net)
+	a.RegisterFlow(1, 3000)
+	nic := net.Hosts[0].NIC
+	net.Hosts[0].Send(dataPkt(net.Pool, 1, 0, 1500))
+	nic.Q.Enqueue(dataPkt(net.Pool, 1, 1500, 1500), net.Eng.Now())
+	net.Eng.Run()
+	rep := a.Finish()
+	var found *Violation
+	for i, v := range rep.Violations {
+		if v.Check == "stranded-queue" {
+			found = &rep.Violations[i]
+		}
+	}
+	if found == nil {
+		t.Fatalf("stranded packet not flagged: %v", rep.Err())
+	}
+	if found.Where != nic.Label || !strings.Contains(found.Detail, "but 1 packets (1578 bytes) are queued") {
+		t.Fatalf("stranded-queue violation = %+v", *found)
+	}
+}
+
 func TestAuditorCheckMeter(t *testing.T) {
 	net := testNet()
 	a := Attach(net)

@@ -1,6 +1,10 @@
 package netem
 
-import "github.com/aeolus-transport/aeolus/internal/sim"
+import (
+	"fmt"
+
+	"github.com/aeolus-transport/aeolus/internal/sim"
+)
 
 // Node is anything a port can deliver packets to: a host or a switch.
 type Node interface {
@@ -14,6 +18,15 @@ type Node interface {
 // The serialization hot path schedules no closures: the tx-done and wake-up
 // events dispatch through pointer-cast views of the port itself, and the
 // delivery event is the packet (see Packet.Fire).
+//
+// A transmission that leaves the qdisc empty schedules no tx-done: there is
+// nothing for it to start. The port reserves the tx-done's key instead
+// (sim.Engine.Reserve) and the next kick decides: if the key is still
+// pending, a packet arrived while the wire was busy, so the tx-done is
+// scheduled under exactly that key and fires where it always would have;
+// otherwise the wire went idle at the key and the packet goes out now.
+// Either way the port behaves as if the tx-done had been scheduled eagerly,
+// because the qdisc contract makes a tx-done on an empty qdisc a no-op.
 type Port struct {
 	Eng   *sim.Engine
 	Q     Qdisc
@@ -34,9 +47,11 @@ type Port struct {
 	// inside a shard (and every port of an unsharded run) pay one nil check.
 	X *CrossLink
 
-	busy   bool
-	wake   sim.Handle
-	wakeAt sim.Time
+	busy     bool
+	deferred bool    // busy, and the tx-done is reserved under txDone, not scheduled
+	txDone   sim.Key // the deferred tx-done's key
+	wake     sim.Handle
+	wakeAt   sim.Time
 
 	// Counters.
 	TxPackets uint64
@@ -85,10 +100,20 @@ func (pt *Port) Send(p *Packet) {
 func (pt *Port) ReleasePacket(p *Packet) { pt.Pool.Put(p) }
 
 // kick starts the serializer if it is idle and a packet is eligible. If the
-// qdisc is holding shaped packets, a wake-up is scheduled instead.
+// qdisc is holding shaped packets, a wake-up is scheduled instead. A deferred
+// tx-done is settled first: scheduled under its reserved key while that is
+// still pending, else the wire has gone idle.
 func (pt *Port) kick() {
 	if pt.busy {
-		return
+		if !pt.deferred {
+			return
+		}
+		pt.deferred = false
+		if pt.Eng.KeyPending(pt.txDone) {
+			pt.Eng.AtKey(pt.txDone, (*portTxDone)(pt))
+			return
+		}
+		pt.busy = false
 	}
 	now := pt.Eng.Now()
 	p := pt.Q.Dequeue(now)
@@ -112,7 +137,12 @@ func (pt *Port) kick() {
 	pt.TxPackets++
 	pt.TxBytes += int64(p.WireSize)
 	tx := sim.TxTime(p.WireSize, pt.Rate)
-	pt.Eng.AfterHandler(tx, (*portTxDone)(pt))
+	if pt.Q.Backlog().Packets == 0 {
+		pt.deferred = true
+		pt.txDone = pt.Eng.Reserve(now.Add(tx))
+	} else {
+		pt.Eng.AfterHandler(tx, (*portTxDone)(pt))
+	}
 	p.next = pt.Dst
 	delay := pt.Delay
 	if pt.Imp != nil {
@@ -127,3 +157,18 @@ func (pt *Port) kick() {
 
 // Backlog reports the qdisc occupancy.
 func (pt *Port) Backlog() Backlog { return pt.Q.Backlog() }
+
+// CheckDeferred verifies the invariant that makes deferring a tx-done safe:
+// a port whose tx-done is deferred has an empty qdisc. Every enqueue is
+// followed by a kick, which settles the deferral, so a packet found queued
+// behind a deferred tx-done is stranded — nothing will ever send it.
+func (pt *Port) CheckDeferred() error {
+	if !pt.deferred {
+		return nil
+	}
+	if b := pt.Q.Backlog(); b.Packets != 0 {
+		return fmt.Errorf("tx-done deferred under key %+v but %d packets (%d bytes) are queued: stranded behind an unscheduled tx-done",
+			pt.txDone, b.Packets, b.Bytes)
+	}
+	return nil
+}

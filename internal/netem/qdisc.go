@@ -53,6 +53,12 @@ type Backlog struct {
 // packet eligible for transmission, or nil if none is eligible right now.
 // Shaped disciplines (the ExpressPass credit queue) may hold eligible packets
 // until a future instant, which they advertise through NextWake.
+//
+// Backlog must count every packet the discipline holds, shaped ones
+// included, and when Backlog().Packets == 0, Dequeue and NextWake must have
+// no side effects. The port relies on both: a transmission that leaves
+// Backlog at zero schedules no tx-done event, because that event's Dequeue
+// and NextWake would find nothing and change nothing.
 type Qdisc interface {
 	// Enqueue offers p to the queue at the current instant. It returns true
 	// if the packet was queued (possibly mutated), false if it was dropped.
@@ -252,7 +258,8 @@ type PrioQdisc struct {
 	SelectiveThresholdBytes int64
 
 	bands    []fifo
-	total    int64
+	total    int64 // bytes across all bands
+	packets  int   // packets across all bands
 	maxBytes int64
 }
 
@@ -286,6 +293,7 @@ func (q *PrioQdisc) Enqueue(p *Packet, _ sim.Time) bool {
 	}
 	q.bands[b].push(p)
 	q.total += int64(p.WireSize)
+	q.packets++
 	if q.total > q.maxBytes {
 		q.maxBytes = q.total
 	}
@@ -298,6 +306,7 @@ func (q *PrioQdisc) Dequeue(_ sim.Time) *Packet {
 		if !q.bands[i].empty() {
 			p := q.bands[i].pop()
 			q.total -= int64(p.WireSize)
+			q.packets--
 			return p
 		}
 	}
@@ -308,13 +317,7 @@ func (q *PrioQdisc) Dequeue(_ sim.Time) *Packet {
 func (q *PrioQdisc) NextWake(_ sim.Time) sim.Time { return sim.MaxTime }
 
 // Backlog implements Qdisc.
-func (q *PrioQdisc) Backlog() Backlog {
-	var n int
-	for i := range q.bands {
-		n += q.bands[i].len()
-	}
-	return Backlog{n, q.total}
-}
+func (q *PrioQdisc) Backlog() Backlog { return Backlog{q.packets, q.total} }
 
 // MaxBacklogBytes reports the high-water mark of total occupancy.
 func (q *PrioQdisc) MaxBacklogBytes() int64 { return q.maxBytes }

@@ -30,8 +30,8 @@ func (f *fifo) audit(name string) error {
 }
 
 // AuditQdisc verifies a discipline's cached byte counters against its actual
-// queue contents: FIFO byte totals, the PrioQdisc shared-buffer total against
-// the per-band sums, the two NDP queues, and the ExpressPass credit queue plus
+// queue contents: FIFO byte totals, the PrioQdisc shared-buffer total and
+// packet count against the per-band sums, the two NDP queues, and the ExpressPass credit queue plus
 // its inner data discipline. Instrumentation and fault-injection wrappers are
 // unwrapped; disciplines from other packages are checked through
 // BacklogAuditor when they implement it, and pass vacuously otherwise.
@@ -47,14 +47,19 @@ func AuditQdisc(q Qdisc) error {
 		return v.q.audit("selective-drop")
 	case *PrioQdisc:
 		var total int64
+		var packets int
 		for i := range v.bands {
 			if err := v.bands[i].audit(fmt.Sprintf("prio band %d", i)); err != nil {
 				return err
 			}
 			total += v.bands[i].size()
+			packets += v.bands[i].len()
 		}
 		if total != v.total {
 			return fmt.Errorf("prio: cached total %d, bands sum to %d", v.total, total)
+		}
+		if packets != v.packets {
+			return fmt.Errorf("prio: cached count %d packets, bands hold %d", v.packets, packets)
 		}
 		return nil
 	case *NDPQueue:

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -38,6 +39,11 @@ func TestAuditQdiscDetectsCounterDrift(t *testing.T) {
 	pq.total -= 100
 	if err := AuditQdisc(pq); err == nil {
 		t.Error("PrioQdisc total drift not detected")
+	}
+	pq.total += 100
+	pq.packets++
+	if err := AuditQdisc(pq); err == nil || !strings.Contains(err.Error(), "cached count 2 packets, bands hold 1") {
+		t.Errorf("PrioQdisc packet-count drift: got %v", err)
 	}
 
 	nq := NewNDPQueue(NDPQueueConfig{Trim: true})

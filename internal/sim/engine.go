@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Handler is the allocation-free alternative to scheduling a closure: an
@@ -33,9 +34,10 @@ type Event struct {
 
 	// schedAt is the simulated instant the scheduling decision was made —
 	// the secondary ordering key between seq and time. On the normal paths it
-	// equals the engine clock at the schedule call, which makes it
-	// nondecreasing in seq and therefore invisible: (time, schedAt, seq)
-	// order is exactly the historical (time, seq) order. Its purpose is
+	// equals the engine clock at the schedule call (for AtKey, at the
+	// Reserve call that drew the seq), which makes it nondecreasing in seq
+	// and therefore invisible: (time, schedAt, seq) order is exactly the
+	// historical (time, seq) order. Its purpose is
 	// AtHandlerFrom, where a sharded runner backdates a barrier-scheduled
 	// cross-shard delivery to the instant the source shard generated it, so
 	// that same-timestamp ties against locally scheduled events resolve in
@@ -123,6 +125,19 @@ func (h Handle) Cancel() {
 	h.eng.release(ev, h.idx)
 }
 
+// Key is an event's position in dispatch order: events fire in ascending
+// (Time, SchedAt, Seq), and no two events share a Seq. Reserve hands out the
+// key an event scheduled now would carry without scheduling anything, so a
+// caller can decide later — or never — to schedule under it (AtKey) and the
+// event fires exactly where it would have fired had it been scheduled at
+// once. The port serializer uses it to skip tx-done events that would find
+// nothing to send.
+type Key struct {
+	Time    Time
+	SchedAt Time
+	Seq     uint64
+}
+
 // Engine is the discrete-event scheduler. It is not safe for concurrent use;
 // the whole simulation runs on one goroutine.
 type Engine struct {
@@ -132,6 +147,13 @@ type Engine struct {
 	nextSeq uint64
 	fired   uint64
 	stopped bool
+
+	// curAt and curSeq complete the key (now, curAt, curSeq) of the event
+	// being dispatched, or of the last one. Once a RunUntil has fired
+	// everything due by its deadline they are set to their maxima: every key
+	// at or before the clock has passed.
+	curAt  Time
+	curSeq uint64
 }
 
 // NewEngine returns an engine with the clock at zero, no pending events, and
@@ -185,15 +207,13 @@ func (e *Engine) EventAllocs() uint64 { return e.slab.carved }
 // starts from; it never mutates the queue.
 func (e *Engine) NextEventTime() (Time, bool) { return e.q.next() }
 
-// acquire takes an event slot from the slab and stamps it with a fresh
-// generation, invalidating every handle to its previous life.
-func (e *Engine) acquire(t Time) (*Event, uint32) {
+// acquire takes an event slot from the slab and stamps it with key k and a
+// fresh generation, invalidating every handle to its previous life.
+func (e *Engine) acquire(k Key) (*Event, uint32) {
 	ev, idx := e.slab.alloc()
 	ev.gen++
-	ev.time = t
-	ev.seq = e.nextSeq
+	ev.time, ev.schedAt, ev.seq = k.Time, k.SchedAt, k.Seq
 	ev.flags = 0
-	e.nextSeq++
 	return ev, idx
 }
 
@@ -225,8 +245,8 @@ func (e *Engine) scheduleFrom(t, from Time, fn func(), h Handler) Handle {
 	if from > t {
 		panic(fmt.Sprintf("sim: schedule stamp %v after deadline %v", from, t))
 	}
-	ev, idx := e.acquire(t)
-	ev.schedAt = from
+	ev, idx := e.acquire(Key{Time: t, SchedAt: from, Seq: e.nextSeq})
+	e.nextSeq++
 	ev.h = h
 	if fn != nil {
 		ev.flags |= evHasFn
@@ -267,6 +287,41 @@ func (e *Engine) AfterHandler(d Duration, h Handler) Handle {
 // not precede the engine clock and from must not exceed t; either panics.
 func (e *Engine) AtHandlerFrom(t, from Time, h Handler) Handle {
 	return e.scheduleFrom(t, from, nil, h)
+}
+
+// Reserve claims the next sequence number and returns the key an event
+// scheduled now for time t would carry. Nothing is scheduled: the key is
+// passed over unless AtKey schedules under it while KeyPending still holds.
+// t must not precede the clock.
+func (e *Engine) Reserve(t Time) Key {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: reserving key at %v before now %v", t, e.now))
+	}
+	k := Key{Time: t, SchedAt: e.now, Seq: e.nextSeq}
+	e.nextSeq++
+	return k
+}
+
+// KeyPending reports whether an event carrying key k would still be waiting
+// to fire: whether k sorts after the event being dispatched (or, between
+// runs, after everything the last RunUntil was due to fire).
+func (e *Engine) KeyPending(k Key) bool {
+	if k.Time != e.now {
+		return k.Time > e.now
+	}
+	return k.SchedAt > e.curAt || k.SchedAt == e.curAt && k.Seq > e.curSeq
+}
+
+// AtKey schedules h.Fire under a key obtained from Reserve. The key must
+// still be pending; scheduling under a passed or unreserved key panics.
+func (e *Engine) AtKey(k Key, h Handler) Handle {
+	if k.Seq >= e.nextSeq || !e.KeyPending(k) {
+		panic(fmt.Sprintf("sim: scheduling under key %+v, which is unreserved or passed", k))
+	}
+	ev, idx := e.acquire(k)
+	ev.h = h
+	e.q.schedule(ev, idx)
+	return Handle{eng: e, idx: idx, gen: ev.gen}
 }
 
 // Stop makes the current Run call return after the in-flight event completes.
@@ -328,7 +383,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			break
 		}
 		ev := e.slab.at(idx)
-		e.now = ev.time
+		e.now, e.curAt, e.curSeq = ev.time, ev.schedAt, ev.seq
 		ev.flags |= evFired
 		h := ev.h
 		var fn func()
@@ -346,8 +401,11 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 		e.fired++
 	}
-	if deadline != MaxTime && e.now < deadline && !e.stopped {
-		e.now = deadline
+	if !e.stopped {
+		e.curAt, e.curSeq = MaxTime, math.MaxUint64
+		if deadline != MaxTime && e.now < deadline {
+			e.now = deadline
+		}
 	}
 	return e.now
 }

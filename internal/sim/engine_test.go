@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -247,6 +248,86 @@ func TestEnginePanicsOnPastEvent(t *testing.T) {
 		e.At(50, func() {})
 	})
 	e.Run()
+}
+
+// TestReservedKeyFiresInPlace schedules under a reserved key late — after
+// same-deadline events were queued behind it — and expects it to fire
+// exactly where an event scheduled at reservation time would have, under
+// both schedulers.
+func TestReservedKeyFiresInPlace(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedHeap, SchedWheel} {
+		e := NewEngineWith(kind)
+		var got []string
+		rec := func(s string) func() { return func() { got = append(got, s) } }
+		e.At(100, rec("before"))
+		k := e.Reserve(100)
+		e.At(100, rec("after"))
+		e.At(50, func() {
+			if !e.KeyPending(k) {
+				t.Errorf("%s: key at 100 passed at 50", kind)
+			}
+			e.AtKey(k, handlerFunc(rec("reserved")))
+		})
+		e.Run()
+		if want := []string{"before", "reserved", "after"}; !slices.Equal(got, want) {
+			t.Errorf("%s: fired %v, want %v", kind, got, want)
+		}
+	}
+}
+
+type handlerFunc func()
+
+func (f handlerFunc) Fire() { f() }
+
+// TestKeyPending walks a reserved key through the clock: pending before its
+// deadline and at it until the event keyed just before it has fired, passed
+// after; a RunUntil that fires everything due by its deadline passes every
+// key at the deadline, a stopped one only those already dispatched.
+func TestKeyPending(t *testing.T) {
+	e := NewEngine()
+	var atFirst, atSecond bool
+	e.At(10, func() {})
+	e.At(20, func() {})
+	k := e.Reserve(20) // keyed after the event at 20, before the one below
+	e.At(20, func() { atSecond = e.KeyPending(k) })
+	e.At(20, func() {})
+	e.At(10, func() { atFirst = e.KeyPending(k) })
+	e.RunUntil(15)
+	if !atFirst || !e.KeyPending(k) {
+		t.Fatalf("key at 20 passed by 15 (during run %v, after %v)", atFirst, e.KeyPending(k))
+	}
+	e.RunUntil(20)
+	if atSecond || e.KeyPending(k) {
+		t.Fatalf("key at 20 still pending after its deadline ran (during run %v, after %v)", atSecond, e.KeyPending(k))
+	}
+
+	e = NewEngine()
+	k = e.Reserve(30)
+	e.At(30, func() { e.Stop() })
+	k2 := e.Reserve(30)
+	e.At(30, func() {})
+	e.Run()
+	if e.KeyPending(k) || !e.KeyPending(k2) {
+		t.Fatalf("after Stop at the event between two keys: first pending %v, second pending %v", e.KeyPending(k), e.KeyPending(k2))
+	}
+}
+
+func TestAtKeyPanicsOnPassedOrUnreservedKey(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	k := e.Reserve(10)
+	e.RunUntil(10)
+	mustPanic("AtKey under a passed key", func() { e.AtKey(k, handlerFunc(func() {})) })
+	mustPanic("AtKey under an unreserved key", func() { e.AtKey(Key{Time: 20, SchedAt: 10, Seq: 5}, handlerFunc(func() {})) })
+	mustPanic("Reserve in the past", func() { e.Reserve(5) })
 }
 
 // Property: for any set of timestamps, the engine fires events in

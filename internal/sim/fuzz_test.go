@@ -35,8 +35,24 @@ func (f *fuzzFire) Fire() {
 	}
 }
 
+// fuzzTrigger fires just ahead of a reserved key, at its deadline, and
+// schedules the key from there: at the current instant, ahead of every
+// same-instant event queued after the reservation — what a port's kick does
+// when a packet lands on a busy wire at the instant it frees up.
+type fuzzTrigger struct {
+	f *fuzzFire
+	k Key
+}
+
+func (g *fuzzTrigger) Fire() {
+	g.f.Fire()
+	if g.f.e.KeyPending(g.k) {
+		g.f.e.AtKey(g.k, &fuzzFire{tr: g.f.tr, e: g.f.e, lbl: -g.f.lbl})
+	}
+}
+
 // runSchedProgram interprets prog on an engine with the given scheduler.
-// Opcodes (byte % 10), with operands drawn from following bytes:
+// Opcodes (byte % 13), with operands drawn from following bytes:
 //
 //	0: schedule at now+delta (delta exponential in one byte, so every wheel
 //	   level and the overflow chain are reachable)
@@ -51,10 +67,17 @@ func (f *fuzzFire) Fire() {
 //	8: cancel the k-th live handle due in now's tick (a run resident)
 //	9: schedule at now+delta an event that, firing, schedules a backdated
 //	   follow-up inside its own tick
+//	10: reserve a key at now+delta without scheduling anything
+//	11: schedule under the k-th reserved key if it is still pending (often
+//	    after intervening schedules, sometimes into the current tick), else
+//	    forget it
+//	12: schedule at now+delta an event that, firing, schedules under a key
+//	    reserved right after it for the same deadline
 func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
 	e := NewEngineWith(kind)
 	var tr schedTrace
 	var handles []Handle
+	var reserved []Key
 	label := int64(0)
 
 	var tm Timer
@@ -75,7 +98,7 @@ func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
 
 	for i := 0; i+1 < len(prog); i += 2 {
 		op, arg := prog[i], prog[i+1]
-		switch op % 10 {
+		switch op % 13 {
 		case 0:
 			handles = append(handles, e.AtHandler(e.Now().Add(delta(arg)), fire(0)))
 		case 1:
@@ -109,6 +132,21 @@ func runSchedProgram(kind SchedulerKind, prog []byte) schedTrace {
 			}
 		case 9:
 			handles = append(handles, e.AtHandler(e.Now().Add(delta(arg%24)), fire(arg|1)))
+		case 10:
+			reserved = append(reserved, e.Reserve(e.Now().Add(delta(arg%24))))
+		case 11:
+			if len(reserved) > 0 {
+				k := int(arg) % len(reserved)
+				if e.KeyPending(reserved[k]) {
+					handles = append(handles, e.AtKey(reserved[k], fire(0)))
+				}
+				reserved = append(reserved[:k], reserved[k+1:]...)
+			}
+		case 12:
+			t := e.Now().Add(delta(arg % 24))
+			g := &fuzzTrigger{f: fire(0)}
+			handles = append(handles, e.AtHandler(t, g))
+			g.k = e.Reserve(t)
 		}
 		tr.Pendings = append(tr.Pendings, e.Pending())
 		tr.Nows = append(tr.Nows, e.Now())
@@ -141,6 +179,16 @@ var schedSeeds = [][]byte{
 	{5, 0, 6, 1, 6, 2, 5, 0, 8, 0, 8, 1, 2, 1, 7, 3, 8, 0},
 	// Handlers that insert backdated follow-ups while the run is served.
 	{9, 10, 9, 10, 9, 200, 6, 4, 2, 14, 9, 3, 5, 0, 8, 1, 2, 20},
+	// A reserved key scheduled into the current tick, ahead of a later
+	// same-deadline event already in the run.
+	{5, 0, 10, 3, 0, 3, 5, 0, 11, 0, 2, 5},
+	// Reserved keys scheduled at the current instant by the event keyed just
+	// before them, ahead of same-instant events queued after the reservation;
+	// one deadline reached inside a served run, one across a cascade.
+	{12, 20, 0, 20, 5, 0, 0, 20, 12, 4, 0, 4, 2, 4, 2, 21},
+	// Reserved keys scheduled after intervening schedules, cancels and
+	// advances — one still pending, one already passed and forgotten.
+	{10, 21, 10, 2, 0, 21, 7, 3, 0, 12, 6, 2, 1, 1, 2, 10, 11, 1, 11, 0, 2, 31},
 }
 
 // FuzzSchedulerEquivalence replays random schedule/cancel/reset/advance

@@ -58,7 +58,10 @@ type SchedStats struct {
 // caller already has in hand, the index is what the queues store.
 type scheduler interface {
 	// schedule inserts a pending event. The engine guarantees ev.time is not
-	// in the past and ev.seq is strictly larger than every earlier event's.
+	// in the past, that ev.seq is unique, and that the event's
+	// (time, schedAt, seq) key sorts after the event being dispatched. Keys
+	// need not arrive in order: backdated stamps (AtHandlerFrom) and
+	// reserved keys (AtKey) may sort before events already queued.
 	schedule(ev *Event, idx uint32)
 
 	// remove takes a pending event out of the pending set before it fires.

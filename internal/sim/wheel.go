@@ -112,7 +112,8 @@ func (w *wheel) schedule(ev *Event, idx uint32) {
 	switch d := uint64(ev.time^w.cur) >> tickBits; {
 	case d == 0:
 		// Due in the current tick. A plain schedule sorts last; only a
-		// backdated stamp or an earlier deadline lands inside the run.
+		// backdated stamp, a reserved key or an earlier deadline lands
+		// inside the run.
 		if n := len(w.run); n == w.head || w.before(w.run[n-1], e) {
 			w.run = append(w.run, e)
 		} else {
