@@ -50,13 +50,16 @@ golden:
 
 # Sharded-engine gate, race-enabled: the golden digest matrix across
 # shards x scheduler x pool (byte-identical to the pinned sequential digests),
-# the record-level sharded-vs-sequential differential on a multi-pod fabric,
-# the per-shard + global conservation audit, and the ShardGroup / partitioner
-# unit tests. Any divergence is a synchronization bug — see DESIGN.md §13.
+# the record-level sharded-vs-sequential differential on a multi-pod fabric
+# (unimpaired, under loss, and under a loss + link-flap + jitter timeline),
+# determinism and the per-shard + global conservation audit with and without
+# loss, cross-shard timeout merging, the merged sharded packet trace, and the
+# ShardGroup / partitioner / per-engine timeline / trace-merger unit tests.
+# Any divergence is a synchronization bug — see DESIGN.md §13.
 shard-golden:
-	$(GO) test -race -run 'TestShardGoldenMatrix|TestShardedDifferential|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting' \
+	$(GO) test -race -run 'TestShardGoldenMatrix|TestShardedDifferential|TestShardedDeterminism|TestShardedAuditSweep|TestShardedEventsAccounting|TestShardedSenderTimeoutsMerged|TestShardedTraceMatchesSequential' \
 		./internal/experiments
-	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder' ./internal/sim ./internal/netem
+	$(GO) test -race -run 'TestShard|TestAtHandlerFrom|TestFlushDeterministicOrder|TestTimelineApplyPerEngine|TestImpairRateCapShrinksLookahead|TestTraceMerger' ./internal/sim ./internal/netem
 
 # Impairment-layer gate: the timeline-parser seed corpus (the checked-in
 # fuzz inputs as a plain test), the impaired-run determinism contract across

@@ -81,7 +81,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		runs     = flag.Int("runs", 1, "repeat over this many consecutive seeds")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs (with -runs > 1)")
-		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions the fabric across goroutines; results are identical)")
+		shards   = flag.Int("shards", 1, "spatial shards per run (>1 partitions a multi-pod fabric across goroutines, impairments and -trace included; deterministic; RNG-free schemes match the sequential run up to same-instant ties, DESIGN.md §13)")
 		deadline = flag.Int64("deadline", 500, "extra simulated time after last arrival, ms")
 		trace    = flag.Uint64("trace", 0, "print a packet trace for this flow ID")
 		cdf      = flag.Bool("cdf", false, "print the small-flow FCT CDF (the paper's figure format)")
@@ -154,9 +154,6 @@ func main() {
 		*runs = 1
 	}
 	tl := cliutil.Timeline(*impair, *impFile)
-	if *shards > 1 && tl != nil {
-		cliutil.Die(fmt.Errorf("-shards > 1 is incompatible with -impair/-impair-file: impairments are engine-local"))
-	}
 
 	specFor := func(runSeed uint64) experiments.RunSpec {
 		spec := experiments.RunSpec{

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"cmp"
+	"fmt"
 	"io"
+	"sort"
 
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/netem"
@@ -64,16 +67,17 @@ type Config struct {
 
 	// Shards, when > 1, partitions every run's fabric spatially and runs one
 	// timing-wheel engine per shard on its own goroutine, synchronized
-	// conservatively on the minimum cross-shard link latency (see
+	// conservatively on the minimum cross-shard link latency (see Run,
 	// netem.BuildShardedClos and sim.ShardGroup). Like Parallel, DisablePool
-	// and Scheduler it is a runtime knob, not part of a run's identity:
-	// results are independent of the shard count by construction, the shard
-	// golden tests keep proving it, and scenarios do not serialize it. The
-	// request is clamped to the topology's pod structure (an edge switch and
-	// its hosts are never split); single-pod topologies collapse to the
-	// sequential engine. Shards > 1 is incompatible with impairment
-	// timelines (their RNG and engine hooks are single-engine) and ignored
-	// when packet tracing is on.
+	// and Scheduler it is a runtime knob, not part of a run's identity, and
+	// scenarios do not serialize it: a sharded run is deterministic, and for
+	// schemes that draw no per-flow randomness it equals the sequential run
+	// up to rare same-instant ties (the shard golden and differential tests
+	// keep proving it; DESIGN.md §13 lists the residual divergences). The request is clamped to
+	// the topology's pod structure (an edge switch and its hosts are never
+	// split); single-pod topologies collapse to one shard, the sequential
+	// engine. Sharding composes with impairment timelines and packet
+	// tracing.
 	Shards int
 
 	// Scheduler selects the event-queue implementation backing every run's
@@ -140,17 +144,6 @@ const (
 	TopoMicro        = "micro"        // 24 hosts on one 100G switch (Fig. 15/16, Table 5)
 )
 
-// buildTopo constructs the named topology with the scheme's qdisc factory.
-// frameBytes is the full on-wire frame size the scheme serializes per hop
-// (netem.WireSizeFor of its MSS); it parameterizes the base-RTT derivation
-// so jumbo-frame schemes (NDP) size their first-RTT window correctly. sched
-// picks the engine's event-queue implementation. The name resolves through
-// the topology catalogue (see topo.go); an unknown name panics with the
-// catalogue listing — the CLIs validate up front via ResolveTopo.
-func buildTopo(topo string, qf netem.QdiscFactory, frameBytes int, sched sim.SchedulerKind) *netem.Network {
-	return mustTopo(topo).Build(qf, frameBytes, sched)
-}
-
 // RunSpec describes one simulation run.
 type RunSpec struct {
 	Scheme   SchemeSpec
@@ -201,9 +194,9 @@ type RunResult struct {
 	Audit *audit.Report
 
 	// Events is the number of engine events fired over the run (drain
-	// included), summed across shard engines on the sharded path; Sched
-	// aggregates scheduler pressure the same way (peaks sum across shards —
-	// the bound on total pending-event memory). Shards records the effective
+	// included), summed across shard engines; Sched aggregates scheduler
+	// pressure the same way (peaks sum across shards — the bound on total
+	// pending-event memory). Shards records the effective
 	// shard count the run executed with (1 = the sequential engine). None of
 	// these feed the golden digest: they describe the execution, not the
 	// simulated outcome.
@@ -247,51 +240,75 @@ func CheckImpair(cfg Config, spec RunSpec) error {
 	return err
 }
 
-// Run executes one simulation and collects the metrics.
+// Run executes one simulation and collects the metrics. The fabric is cut
+// into Config.Shards shards (clamped by netem.ShardCount), each with its own
+// engine, pool, environment and protocol instance, and the shards' results
+// are merged at the end. One shard is the sequential run: no ShardGroup, no
+// barriers, the engine stopped at the event completing the last flow. A
+// cross-shard flow is started on the sender's shard and pre-registered on
+// the receiver's (each transport's Register), which records its completion;
+// the merge adds the sender copy's timeouts (NDP counts them on the sender)
+// and orders the records by finish time. See DESIGN.md §13.
 func Run(cfg Config, spec RunSpec) RunResult {
-	if n := effectiveShards(cfg, spec); n > 1 {
-		return runSharded(cfg, spec, n)
-	}
 	scheme := mustScheme(spec.Scheme)
 	topo := mustTopo(spec.Topo)
 	buffer := spec.Buffer
 	if buffer <= 0 {
 		buffer = netem.DefaultBuffer
 	}
-	net := topo.Build(scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS), cfg.scheduler())
-	if cfg.DisablePool {
-		net.Pool.Disable()
+	shards := netem.ShardCount(topo.Spec, cfg.Shards)
+	sn := netem.BuildShardedClos(topo.Spec, shards, cfg.scheduler(),
+		scheme.Factory(buffer), netem.WireSizeFor(scheme.MSS))
+	net := sn.Net
+	envs := make([]*transport.Env, shards)
+	protos := make([]transport.Protocol, shards)
+	for i := range envs {
+		view := sn.View(i)
+		if cfg.DisablePool {
+			view.Pool.Disable()
+		}
+		envs[i] = transport.NewEnv(view, scheme.MSS)
+		protos[i] = scheme.New(envs[i])
 	}
-	env := transport.NewEnv(net, scheme.MSS)
-	proto := scheme.New(env)
-	impair := spec.Impair
-	if impair == nil {
-		impair = cfg.Impair
-	}
-	if impair != nil {
+	if impair := cmp.Or(spec.Impair, cfg.Impair); impair != nil {
 		// Install before trace/audit instrumentation wraps the qdiscs, so
 		// injected drops are traced and attributed like any other drop.
-		if _, err := impair.Apply(net, cfg.Seed^spec.Scheme.Seed); err != nil {
+		if _, err := sn.Impair(impair, cfg.Seed^spec.Scheme.Seed); err != nil {
 			panic("experiments: " + err.Error())
 		}
 	}
+	var traces *netem.TraceMerger
 	if cfg.Trace.TraceFlow != 0 {
 		w := cfg.Trace.TraceTo
 		if w == nil {
 			w = stderrLocked
 		}
 		flow := cfg.Trace.TraceFlow
-		tr := &netem.WriterTracer{W: w,
-			Filter: func(p *netem.Packet) bool { return p.Flow == flow }}
-		netem.InstrumentPorts(net.AllPorts(), tr)
-		netem.InstrumentHosts(net.Hosts, tr)
+		filter := func(p *netem.Packet) bool { return p.Flow == flow }
+		var tr netem.Tracer = &netem.WriterTracer{W: w, Filter: filter}
+		if shards > 1 {
+			traces = netem.NewTraceMerger(w, shards, filter)
+		}
+		for i := range envs {
+			if traces != nil {
+				tr = traces.Tracer(i)
+			}
+			netem.InstrumentPorts(sn.ShardPorts(i), tr)
+			netem.InstrumentHosts(sn.ShardHosts(i), tr)
+		}
 	}
-	var aud *audit.Auditor
+	var auds []*audit.Auditor
 	if cfg.Audit {
-		aud = audit.Attach(net)
+		auds = make([]*audit.Auditor, shards)
+		for i := range auds {
+			auds[i] = audit.AttachScope(sn.Engines[i], sn.Pools[i],
+				sn.ShardPorts(i), sn.ShardHosts(i), shards > 1)
+		}
 	}
 	if cfg.Observe != nil {
-		cfg.Observe(net, env, proto)
+		for i, env := range envs {
+			cfg.Observe(env.Net, env, protos[i])
+		}
 	}
 
 	var trace []workload.FlowSpec
@@ -328,46 +345,178 @@ func Run(cfg Config, spec RunSpec) RunResult {
 			}
 		}
 	}
-	// Steady-state goodput window: the middle half of the arrival span.
-	var d1, d2 int64
+	// Steady-state goodput window: the middle half of the arrival span. Each
+	// shard samples its own meter at the same simulated instants; scheduled
+	// before any flow starts, the samplers order before every runtime event
+	// at the same timestamp on every shard, so the sums are the sequential
+	// samples.
+	d1s := make([]int64, shards)
+	d2s := make([]int64, shards)
 	t1 := first.Add(sim.Duration(last-first) / 4)
 	t2 := first.Add(3 * sim.Duration(last-first) / 4)
 	if t2 > t1 {
-		env.Eng.At(t1, func() { d1 = env.Meter.DeliveredPayload })
-		env.Eng.At(t2, func() { d2 = env.Meter.DeliveredPayload })
-	}
-	if aud != nil {
-		for _, f := range trace {
-			aud.RegisterFlow(f.ID, f.Size)
+		for i, env := range envs {
+			env.Eng.At(t1, func() { d1s[i] = env.Meter.DeliveredPayload })
+			env.Eng.At(t2, func() { d2s[i] = env.Meter.DeliveredPayload })
 		}
 	}
-	// Pre-size the FCT collector for the whole trace so completion recording
-	// never grows the heap mid-run.
-	env.FCT.Reserve(len(trace))
-	start := env.Eng.Now()
-	transport.Runner(env, proto, trace, last.Add(deadline))
-	endTime := env.Eng.Now()
-	elapsed := endTime.Sub(start)
-	if aud != nil && env.Completed() == len(trace) {
+	// Every shard may carry any flow's packets (spine shards forward traffic
+	// they neither source nor sink), so sizes register with every auditor.
+	for _, a := range auds {
+		for _, f := range trace {
+			a.RegisterFlow(f.ID, f.Size)
+		}
+	}
+
+	// Inject the trace: the sender's shard starts each flow at its arrival
+	// time, and a cross-shard receiver gets its own pre-registered copy of
+	// the descriptor. Each shard's FCT collector is pre-sized with the flows
+	// it will record, so completion recording never grows the heap mid-run.
+	perDst := make([]int, shards)
+	for _, fs := range trace {
+		perDst[sn.HostShard(netem.NodeID(fs.Dst))]++
+	}
+	for i, env := range envs {
+		env.FCT.Reserve(perDst[i])
+	}
+	var crossSenders map[uint64]*transport.Flow
+	for _, fs := range trace {
+		f := &transport.Flow{
+			ID:     fs.ID,
+			Src:    netem.NodeID(fs.Src),
+			Dst:    netem.NodeID(fs.Dst),
+			Size:   fs.Size,
+			Start:  fs.Start,
+			PathID: transport.FlowHash(fs.ID),
+		}
+		s := sn.HostShard(f.Src)
+		if d := sn.HostShard(f.Dst); d != s {
+			reg, ok := protos[d].(interface{ Register(f *transport.Flow) })
+			if !ok {
+				panic(fmt.Sprintf("experiments: scheme %s cannot register cross-shard flows", scheme.Name))
+			}
+			rf := *f
+			reg.Register(&rf)
+			if crossSenders == nil {
+				crossSenders = make(map[uint64]*transport.Flow)
+			}
+			crossSenders[f.ID] = f
+		}
+		p := protos[s]
+		envs[s].Eng.At(f.Start, func() { p.Start(f) })
+	}
+
+	total := len(trace)
+	completed := func() int {
+		n := 0
+		for _, env := range envs {
+			n += env.Completed()
+		}
+		return n
+	}
+	endAt := last.Add(deadline)
+	var group *sim.ShardGroup
+	if shards == 1 {
+		env := envs[0]
+		userDone := env.Done
+		env.Done = func(f *transport.Flow, rec stats.FlowRecord) {
+			if userDone != nil {
+				userDone(f, rec)
+			}
+			if env.Completed() == total {
+				env.Eng.Stop()
+			}
+		}
+		env.Eng.RunUntil(endAt)
+	} else {
+		var visit func(h netem.Handoff)
+		if auds != nil {
+			visit = func(h netem.Handoff) {
+				auds[h.Src].Depart(h.P)
+				auds[h.Dst].Arrive(h.P)
+			}
+		}
+		group = &sim.ShardGroup{
+			Engines:   sn.Engines,
+			Lookahead: sn.Lookahead,
+			Barrier: func() {
+				sn.Flush(visit)
+				if traces != nil {
+					traces.Flush()
+				}
+			},
+			StopWhen: func() bool { return completed() == total },
+		}
+		group.Run(endAt)
+	}
+	// The run ends at the event completing the last flow. A one-shard run
+	// stops right there; a sharded one at the next barrier, so the end time
+	// comes from the records.
+	endTime := endAt
+	if total > 0 && completed() == total {
+		endTime = 0
+		for _, env := range envs {
+			for _, r := range env.FCT.Records() {
+				endTime = max(endTime, r.Finish)
+			}
+		}
+	}
+	if auds != nil && completed() == total {
 		// Let in-flight control traffic and pending timers settle so the
 		// drain-time invariants (empty queues, zero residual) can be checked
 		// in the strict, fully-drained form. Completed flows disarm all
 		// retransmission loops, so the drain terminates.
-		env.Eng.Run()
+		if group == nil {
+			envs[0].Eng.Run()
+		} else {
+			group.StopWhen = nil
+			group.Run(sim.MaxTime)
+		}
+	}
+	if traces != nil {
+		traces.Flush()
+	}
+
+	fct := &envs[0].FCT
+	if shards > 1 {
+		// Merge the per-shard records by finish time. Within a shard the
+		// collector order is completion order; the stable sort keeps it, so
+		// ties across shards break deterministically by shard index.
+		fct = &stats.FCTCollector{}
+		fct.Reserve(total)
+		for _, env := range envs {
+			for _, r := range env.FCT.Records() {
+				if f := crossSenders[r.ID]; f != nil {
+					r.Timeouts += f.Timeouts
+				}
+				fct.Add(r)
+			}
+		}
+		recs := fct.Records()
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Finish < recs[j].Finish })
+	}
+	var meter stats.ByteMeter
+	var d1, d2 int64
+	for i, env := range envs {
+		meter.SentPayload += env.Meter.SentPayload
+		meter.DeliveredPayload += env.Meter.DeliveredPayload
+		d1 += d1s[i]
+		d2 += d2s[i]
 	}
 
 	res := RunResult{
 		Scheme:    scheme.Name,
-		Total:     len(trace),
-		Completed: env.Completed(),
+		Total:     total,
+		Completed: completed(),
 		baseRTT:   net.BaseRTT,
-		records:   env.FCT.Records(),
+		records:   fct.Records(),
+		Shards:    shards,
 	}
 	// Metric extraction runs on the collector's scratch buffers: the CDF
 	// consumes the filtered view before the next Filter call invalidates it.
-	small := env.FCT.Filter(0, 100_000)
-	res.Small = env.FCT.Summarize(small)
-	res.All = env.FCT.Summarize(env.FCT.Records())
+	small := fct.Filter(0, 100_000)
+	res.Small = fct.Summarize(small)
+	res.All = fct.Summarize(fct.Records())
 	if len(small) > 0 {
 		n := 0
 		for _, r := range small {
@@ -377,32 +526,57 @@ func Run(cfg Config, spec RunSpec) RunResult {
 		}
 		res.FirstRTTFrac = float64(n) / float64(len(small))
 	}
-	res.Efficiency = env.Meter.Efficiency()
+	res.Efficiency = meter.Efficiency()
 	capacity := sim.Rate(int64(net.HostRate) * int64(len(net.Hosts)))
-	res.Goodput = env.Meter.Goodput(elapsed, capacity)
+	res.Goodput = meter.Goodput(endTime.Sub(0), capacity)
 	if t2 > t1 && d2 > d1 {
 		// Steady-state goodput over the middle half of the arrival span.
 		res.WindowGoodput = float64(d2-d1) * 8 / sim.Duration(t2-t1).Seconds() / float64(capacity)
-	} else if span := endTime.Sub(first); len(trace) > 0 && span > 0 {
+	} else if span := endTime.Sub(first); total > 0 && span > 0 {
 		// Simultaneous arrivals (pure incast) collapse the middle-half
 		// window to nothing; fall back to the whole arrival→drain span.
-		res.WindowGoodput = float64(env.Meter.DeliveredPayload) * 8 / span.Seconds() / float64(capacity)
+		res.WindowGoodput = float64(meter.DeliveredPayload) * 8 / span.Seconds() / float64(capacity)
 	}
-	res.TimeoutFlows = env.FCT.TimeoutFlows()
+	res.TimeoutFlows = fct.TimeoutFlows()
 	res.Drops = netem.DropTotals(net.SwitchPorts())
 	for _, pt := range net.AllPorts() {
 		res.TxPackets += pt.TxPackets
 	}
 	res.SmallCDF = stats.FCTCDF(small)
-	res.Events = env.Eng.Fired()
-	res.Sched = env.Eng.SchedStats()
-	res.Shards = 1
-	if aud != nil {
-		aud.AuditProtocol(proto)
-		aud.CheckMeter(env.Meter.SentPayload, env.Meter.DeliveredPayload)
-		res.Audit = aud.Finish()
+	for _, eng := range sn.Engines {
+		res.Events += eng.Fired()
+		ss := eng.SchedStats()
+		res.Sched.Pending += ss.Pending
+		res.Sched.PeakPending += ss.PeakPending
+		res.Sched.Overflow += ss.Overflow
+		res.Sched.PeakOverflow += ss.PeakOverflow
+	}
+	if auds != nil {
+		reps := make([]*audit.Report, shards)
+		for i, a := range auds {
+			a.AuditProtocol(protos[i])
+			a.CheckMeter(envs[i].Meter.SentPayload, envs[i].Meter.DeliveredPayload)
+			reps[i] = a.Finish()
+		}
+		rep := reps[0]
+		if shards > 1 {
+			rep = audit.MergeReports(reps)
+			// The cross-pool balance only the merged view can check: once
+			// every engine drains, every packet handed out by some pool was
+			// returned to some pool.
+			drained := true
+			for _, eng := range sn.Engines {
+				drained = drained && eng.Pending() == 0
+			}
+			if drained && rep.Pool.Gets != rep.Pool.Puts {
+				rep.AddViolation(audit.Violation{Check: "pool-leak",
+					Detail: fmt.Sprintf("engines idle but pools handed out %d packets and got back %d",
+						rep.Pool.Gets, rep.Pool.Puts)})
+			}
+		}
+		res.Audit = rep
 		if cfg.OnAudit != nil {
-			cfg.OnAudit(spec, res.Audit)
+			cfg.OnAudit(spec, rep)
 		}
 	}
 	return res

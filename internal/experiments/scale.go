@@ -113,7 +113,7 @@ type ScalePoint struct {
 }
 
 // recompute derives events_per_sec from the summed event count over the wall
-// time. Events is already the total across every shard engine (shardrun sums
+// time. Events is already the total across every shard engine (Run sums
 // Fired() before it reaches the point), so this single division is the only
 // one in the pipeline: no per-shard or per-cell float quotient is ever carried
 // into an aggregate, and a ledger merge can restamp the field from its inputs.

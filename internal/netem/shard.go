@@ -76,7 +76,7 @@ type ShardedNetwork struct {
 // ShardCount returns the effective shard count for a spec: the request
 // clamped to [1, number of edge switches] — an edge switch and its hosts
 // are never split. Single-pod topologies therefore collapse to one shard,
-// where the harness keeps the plain sequential path.
+// which runs as the plain sequential engine.
 func ShardCount(spec TopoSpec, requested int) int {
 	n := spec.normalized()
 	edges := 0
@@ -99,7 +99,8 @@ func ShardCount(spec TopoSpec, requested int) int {
 // port is assigned to its shard's engine and packet pool, and every port
 // whose destination is foreign gets a CrossLink. shards must already be an
 // effective count from ShardCount (≥ 1); with shards == 1 the result is the
-// sequential network plus empty shard metadata, and no port pays the
+// sequential network exactly as BuildClos wires it — the partition pass is
+// skipped, the one shard owns every host and port, and no port pays the
 // cross-link path.
 func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf QdiscFactory, frameBytes int) *ShardedNetwork {
 	sp := spec.normalized()
@@ -109,15 +110,15 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Qdi
 	}
 	net := BuildClos(engines[0], sp, qf, frameBytes)
 
-	sn := &ShardedNetwork{
-		Net:     net,
-		Engines: engines,
-		Pools:   make([]*PacketPool, shards),
-		bar:     &crossBar{out: make([][]Handoff, shards)},
-		hostsOf: make([][]*Host, shards),
-		portsOf: make([][]*Port, shards),
-	}
+	sn := &ShardedNetwork{Net: net, Engines: engines, Pools: make([]*PacketPool, shards)}
 	sn.Pools[0] = net.Pool
+	if shards == 1 {
+		return sn
+	}
+	sn.bar = &crossBar{out: make([][]Handoff, shards)}
+	sn.hostShard = make([]int, len(net.Hosts))
+	sn.hostsOf = make([][]*Host, shards)
+	sn.portsOf = make([][]*Port, shards)
 	for i := 1; i < shards; i++ {
 		sn.Pools[i] = NewPacketPool()
 	}
@@ -127,7 +128,6 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Qdi
 	// owns its whole downward reach, or is spread by index when the reach
 	// crosses shards.
 	edges := sp.Tiers[0].Switches
-	sn.hostShard = make([]int, len(net.Hosts))
 	for id := range net.Hosts {
 		s := (id / sp.HostsPerEdge) * shards / edges
 		sn.hostShard[id] = s
@@ -199,15 +199,30 @@ func BuildShardedClos(spec TopoSpec, shards int, sched sim.SchedulerKind, qf Qdi
 func (sn *ShardedNetwork) Shards() int { return len(sn.Engines) }
 
 // HostShard returns the shard owning a host.
-func (sn *ShardedNetwork) HostShard(id NodeID) int { return sn.hostShard[id] }
+func (sn *ShardedNetwork) HostShard(id NodeID) int {
+	if sn.Shards() == 1 {
+		return 0
+	}
+	return sn.hostShard[id]
+}
 
 // ShardHosts returns the hosts shard i owns.
-func (sn *ShardedNetwork) ShardHosts(i int) []*Host { return sn.hostsOf[i] }
+func (sn *ShardedNetwork) ShardHosts(i int) []*Host {
+	if sn.Shards() == 1 {
+		return sn.Net.Hosts
+	}
+	return sn.hostsOf[i]
+}
 
 // ShardPorts returns every port homed on shard i, NICs included. The shard
 // sets partition AllPorts: each port fires its events on exactly one shard's
 // engine, which is what per-shard audit instrumentation relies on.
-func (sn *ShardedNetwork) ShardPorts(i int) []*Port { return sn.portsOf[i] }
+func (sn *ShardedNetwork) ShardPorts(i int) []*Port {
+	if sn.Shards() == 1 {
+		return sn.Net.AllPorts()
+	}
+	return sn.portsOf[i]
+}
 
 // CrossPorts returns how many ports carry a CrossLink.
 func (sn *ShardedNetwork) CrossPorts() int { return sn.crossed }
@@ -215,13 +230,41 @@ func (sn *ShardedNetwork) CrossPorts() int { return sn.crossed }
 // View returns the per-shard view of the network: the shared structure with
 // the engine, packet pool and endpoint-host set of one shard. A protocol
 // instance built over a view attaches endpoints only to the shard's own
-// hosts and allocates packets only from the shard's pool.
+// hosts and allocates packets only from the shard's pool. The one shard of
+// an unpartitioned network views the network itself.
 func (sn *ShardedNetwork) View(i int) *Network {
+	if sn.Shards() == 1 {
+		return sn.Net
+	}
 	v := *sn.Net
 	v.Eng = sn.Engines[i]
 	v.Pool = sn.Pools[i]
 	v.localHosts = sn.hostsOf[i]
 	return &v
+}
+
+// Impair applies an impairment timeline to the fabric (Timeline.Apply). A
+// rate step may speed a cross-shard link up beyond the rate its lookahead was
+// derived from; the lookahead then shrinks to that link's latency at the
+// fastest cap any step sets, so a handoff still never lands in a shard's
+// past.
+func (sn *ShardedNetwork) Impair(tl *Timeline, seed uint64) (*ImpairmentSet, error) {
+	set, err := tl.Apply(sn.Net, seed)
+	if err != nil {
+		return nil, err
+	}
+	var fastest sim.Rate
+	for _, st := range tl.Steps {
+		if st.Action == ActRate && st.Cap > fastest {
+			fastest = st.Cap
+		}
+	}
+	for _, li := range set.Controllers {
+		if pt := li.port; pt.X != nil && fastest > pt.Rate {
+			sn.Lookahead = min(sn.Lookahead, pt.Delay+sim.TxTime(HeaderSize, fastest))
+		}
+	}
+	return set, nil
 }
 
 // Flush runs at a window barrier, with every shard worker parked: it merges

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
@@ -177,5 +178,65 @@ func TestFlushDeterministicOrder(t *testing.T) {
 	}
 	if len(sn.bar.out[0]) != 0 || len(sn.bar.out[1]) != 0 {
 		t.Fatal("Flush left handoffs in the buffers")
+	}
+}
+
+// TestTimelineApplyPerEngine pins how a timeline drives a sharded fabric:
+// each step is scheduled once on every engine owning a targeted port, and
+// each of those events configures only its own engine's controllers. A step
+// targeting one shard's ports leaves the other engines untouched.
+func TestTimelineApplyPerEngine(t *testing.T) {
+	sn := BuildShardedClos(leafSpineSpec, 2, sim.SchedWheel, testQdisc, 1538)
+	tl := &Timeline{Steps: []TimelineStep{
+		{At: 0, Target: "*->*", Action: ActLoss, Rate: 0.5},
+		{At: 5, Target: "leaf0->*", Action: ActFail},
+	}}
+	set, err := sn.Impair(tl, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sn.Engines[0].Pending(); got != 2 {
+		t.Errorf("shard 0 engine has %d pending step events, want 2", got)
+	}
+	if got := sn.Engines[1].Pending(); got != 1 {
+		t.Errorf("shard 1 engine has %d pending step events, want 1 (it owns no leaf0 port)", got)
+	}
+	sn.Engines[1].RunUntil(10)
+	for label, li := range set.Controllers {
+		own := li.Port().Eng == sn.Engines[1]
+		if got := li.lossRate == 0.5; got != own {
+			t.Fatalf("%s: loss configured = %v after running only shard 1, want %v", label, got, own)
+		}
+	}
+	sn.Engines[0].RunUntil(10)
+	for label, li := range set.Controllers {
+		if li.lossRate != 0.5 {
+			t.Fatalf("%s: loss rate %v, want 0.5", label, li.lossRate)
+		}
+		if want := strings.HasPrefix(label, "leaf0->"); li.down != want {
+			t.Fatalf("%s: down = %v, want %v", label, li.down, want)
+		}
+	}
+}
+
+// TestImpairRateCapShrinksLookahead: a rate step that speeds a cross-shard
+// link past the rate the lookahead was derived from shrinks the lookahead to
+// that link's latency at the cap, so no handoff can land in a shard's past.
+func TestImpairRateCapShrinksLookahead(t *testing.T) {
+	sn := BuildShardedClos(leafSpineSpec, 2, sim.SchedWheel, testQdisc, 1538)
+	before := sn.Lookahead
+	slow := &Timeline{Steps: []TimelineStep{{Target: "*->*", Action: ActRate, Cap: sim.Gbps}}}
+	if _, err := sn.Impair(slow, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sn.Lookahead != before {
+		t.Fatalf("a degrading cap changed the lookahead: %v -> %v", before, sn.Lookahead)
+	}
+	fast := &Timeline{Steps: []TimelineStep{{Target: "leaf*->spine*", Action: ActRate, Cap: 10000 * sim.Gbps}}}
+	if _, err := sn.Impair(fast, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sn.Lookahead >= before {
+		t.Fatalf("lookahead %v did not shrink below %v for a faster-than-link cap", sn.Lookahead, before)
 	}
 }

@@ -432,8 +432,10 @@ func (s *ImpairmentSet) InjectedDrops() uint64 {
 
 // Apply compiles the timeline onto a built network: every port matched by
 // any step is wrapped with a LinkImpairment (seeded from seed and the port
-// label, so per-port randomness is stable regardless of step order), and
-// each step is scheduled on the engine at its offset. Call after the
+// label, so per-port randomness is stable regardless of step order and of
+// the engine driving the port), and each step is scheduled at its offset on
+// every engine owning a targeted port, touching only that engine's
+// controllers (one event per step on an unsharded network). Call after the
 // topology is built and before audit instrumentation, so injected drops are
 // traced. A step whose target matches no port is an error — a silently
 // inert chaos script would invalidate the experiment it was meant to stress.
@@ -441,7 +443,7 @@ func (tl *Timeline) Apply(net *Network, seed uint64) (*ImpairmentSet, error) {
 	set := &ImpairmentSet{Controllers: make(map[string]*LinkImpairment)}
 	ports := net.AllPorts()
 	for i, st := range tl.Steps {
-		var targets []*LinkImpairment
+		targets := map[*sim.Engine][]*LinkImpairment{}
 		for _, pt := range ports {
 			if !matchGlob(st.Target, pt.Label) {
 				continue
@@ -451,17 +453,19 @@ func (tl *Timeline) Apply(net *Network, seed uint64) (*ImpairmentSet, error) {
 				li = InstallImpairment(pt, seed^labelHash(pt.Label))
 				set.Controllers[pt.Label] = li
 			}
-			targets = append(targets, li)
+			targets[pt.Eng] = append(targets[pt.Eng], li)
 		}
 		if len(targets) == 0 {
 			return nil, fmt.Errorf("timeline step %d: target %q matches no port", i, st.Target)
 		}
 		step := st // capture
-		net.Eng.At(sim.Time(st.At), func() {
-			for _, li := range targets {
-				applyStep(li, step)
-			}
-		})
+		for eng, lis := range targets {
+			eng.At(sim.Time(st.At), func() {
+				for _, li := range lis {
+					applyStep(li, step)
+				}
+			})
+		}
 	}
 	return set, nil
 }

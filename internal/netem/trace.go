@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
@@ -49,7 +50,77 @@ func (t *WriterTracer) Trace(now sim.Time, ev TraceEvent, where string, p *Packe
 		return
 	}
 	t.Events++
-	fmt.Fprintf(t.W, "%-14v %-7s %-18s %v\n", now, ev, where, p)
+	fmt.Fprintf(t.W, traceLineFormat, now, ev, where, p)
+}
+
+// traceLineFormat is the one-line rendering of a trace event shared by
+// WriterTracer and TraceMerger.
+const traceLineFormat = "%-14v %-7s %-18s %v\n"
+
+// TraceMerger is packet tracing for a sharded run: each shard gets its own
+// tracer, which buffers its lines instead of writing them, and Flush writes
+// the buffered lines in (time, shard) order. A shard's tracer is only called
+// from that shard's goroutine; Flush runs at a window barrier, with every
+// worker parked, when every line still to come is later than every line
+// buffered — so the output is the sequential run's trace up to the order of
+// same-instant lines on different shards.
+type TraceMerger struct {
+	w      io.Writer
+	shards []*lineBuffer
+	merged []bufferedLine
+	out    []byte
+}
+
+// lineBuffer is one shard's tracer.
+type lineBuffer struct {
+	filter func(p *Packet) bool
+	lines  []bufferedLine
+}
+
+type bufferedLine struct {
+	at   sim.Time
+	text string
+}
+
+// NewTraceMerger returns a merger with one buffered tracer per shard, each
+// keeping the packets filter accepts (nil keeps every packet).
+func NewTraceMerger(w io.Writer, shards int, filter func(p *Packet) bool) *TraceMerger {
+	m := &TraceMerger{w: w, shards: make([]*lineBuffer, shards)}
+	for i := range m.shards {
+		m.shards[i] = &lineBuffer{filter: filter}
+	}
+	return m
+}
+
+// Tracer returns shard i's tracer.
+func (m *TraceMerger) Tracer(i int) Tracer { return m.shards[i] }
+
+// Trace implements Tracer.
+func (b *lineBuffer) Trace(now sim.Time, ev TraceEvent, where string, p *Packet) {
+	if b.filter == nil || b.filter(p) {
+		b.lines = append(b.lines, bufferedLine{now, fmt.Sprintf(traceLineFormat, now, ev, where, p)})
+	}
+}
+
+// Flush writes every buffered line to the writer in one Write, ordered by time and
+// then by shard (a stable sort keeps each shard's own dispatch order), and
+// empties the buffers. Like WriterTracer it drops write errors: a trace is
+// a debugging aid and never changes what a run reports.
+func (m *TraceMerger) Flush() {
+	m.merged = m.merged[:0]
+	for _, b := range m.shards {
+		m.merged = append(m.merged, b.lines...)
+		b.lines = b.lines[:0]
+	}
+	if len(m.merged) == 0 {
+		return
+	}
+	sort.SliceStable(m.merged, func(i, j int) bool { return m.merged[i].at < m.merged[j].at })
+	m.out = m.out[:0]
+	for _, l := range m.merged {
+		m.out = append(m.out, l.text...)
+	}
+	_, _ = m.w.Write(m.out)
 }
 
 // CountingTracer tallies events by kind and packet type; a cheap way to

@@ -103,3 +103,30 @@ func TestTraceEventString(t *testing.T) {
 		t.Fatal("TraceEvent.String mismatch")
 	}
 }
+
+// TestTraceMergerOrdersByTimeThenShard: buffered per-shard lines come out
+// ordered by time, ties broken by shard index, each shard's own order kept;
+// a flush empties the buffers.
+func TestTraceMergerOrdersByTimeThenShard(t *testing.T) {
+	var sb strings.Builder
+	m := NewTraceMerger(&sb, 2, func(p *Packet) bool { return p.Flow != 9 })
+	a, b := m.Tracer(0), m.Tracer(1)
+	a.Trace(10, TraceEnqueue, "a1", dataPkt(1, 100, true))
+	a.Trace(30, TraceEnqueue, "a2", dataPkt(1, 100, true))
+	a.Trace(30, TraceDrop, "a3", dataPkt(9, 100, true)) // filtered
+	b.Trace(5, TraceEnqueue, "b1", dataPkt(2, 100, true))
+	b.Trace(10, TraceEnqueue, "b2", dataPkt(2, 100, true))
+	b.Trace(30, TraceDeliver, "b3", dataPkt(2, 100, true))
+	m.Flush()
+	var order []string
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		order = append(order, strings.Fields(line)[2])
+	}
+	if got, want := strings.Join(order, " "), "b1 a1 b2 a2 b3"; got != want {
+		t.Fatalf("merged order %q, want %q", got, want)
+	}
+	sb.Reset()
+	if m.Flush(); sb.Len() != 0 {
+		t.Fatalf("second flush wrote %q; buffers were not emptied", sb.String())
+	}
+}

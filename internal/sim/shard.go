@@ -29,7 +29,8 @@ import "sync"
 // Each round advances the global window by at least Lookahead, so the run
 // terminates. With one engine the loop degenerates to repeated RunUntil
 // calls on a single goroutine and fires events in exactly the sequential
-// order — but the harness keeps shards=1 on the plain Engine path anyway.
+// order; the harness runs a one-shard run on the bare Engine all the same,
+// stopping it at the event that completes the last flow.
 type ShardGroup struct {
 	Engines   []*Engine
 	Lookahead Duration // minimum cross-shard link latency; must be > 0

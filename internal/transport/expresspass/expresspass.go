@@ -229,6 +229,9 @@ func (s *sender) receive(pkt *netem.Packet) {
 	case netem.Ack:
 		s.OnAck(pkt)
 	case netem.Resend:
+		if len(pkt.SegList) == 0 {
+			s.sendReq() // the receiver never learned the size (askForSize)
+		}
 		s.ForceLost(pkt.SegList)
 		s.stopSent = false
 	}
@@ -334,9 +337,20 @@ func (r *receiver) onData(pkt *netem.Packet) {
 	r.maybeFinish()
 }
 
-// sendAckDeferred queues the ACK when flow state is not yet established
-// (data raced ahead of the request — impossible on the in-order fabric, but
-// kept for robustness).
+// askForSize recovers a flow whose request and probes were all lost while
+// its data arrived: the data's ACKs stop the sender's request retries, and
+// an all-ACKed sender resends no probe, so nothing would establish the flow.
+// A receiver ACKing data while unestablished arms its (still idle) credit
+// timer for two RTOs, past the sender's own first retry; if still
+// unestablished then, an empty resend request makes the sender re-request.
+func (r *receiver) askForSize() {
+	r.rx.SendResend(nil)
+	r.creditTm.Reset(2 * r.p.opts.RTO)
+}
+
+// sendAckDeferred sends a data ACK, resolving the flow descriptor first
+// when flow state is not yet established (data raced ahead of a lost or
+// overtaken request); such an ACK arms askForSize.
 func (r *receiver) sendAckDeferred(seq int64, mark int64) {
 	if r.rx.Flow == nil {
 		if f := r.p.tbl.Flow(r.flowID); f != nil {
@@ -344,6 +358,9 @@ func (r *receiver) sendAckDeferred(seq int64, mark int64) {
 		} else {
 			return
 		}
+	}
+	if r.rx.Tracker == nil && !r.creditTm.Pending() && r.p.opts.RTO > 0 {
+		r.creditTm.Reset(2 * r.p.opts.RTO)
 	}
 	r.rx.SendAck(seq, mark)
 }
@@ -389,6 +406,10 @@ func (r *receiver) creditGap() sim.Duration {
 func (r *receiver) scheduleCredit() { r.creditTm.Reset(r.creditGap()) }
 
 func (r *receiver) creditTick() {
+	if r.rx.Tracker == nil {
+		r.askForSize()
+		return
+	}
 	if !r.crediting || r.rx.Done {
 		return
 	}

@@ -128,3 +128,38 @@ func TestHeavyIncastProbesSurvive(t *testing.T) {
 		t.Fatalf("%d probes dropped; they must be protected", probeDrops)
 	}
 }
+
+// TestLostRequestAndProbesRecovered covers the one loss pattern that used to
+// strand an ExpressPass+Aeolus flow for good: the credit request and every
+// probe are lost while the whole (one-segment) burst arrives. The receiver
+// ACKs the data before it knows the flow's size, which stopped the sender's
+// request retries, and an all-ACKed sender resends no probe — so no packet
+// would ever establish the flow. The receiver now asks for the size after
+// two RTOs, and the flow completes.
+func TestLostRequestAndProbesRecovered(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Aeolus = core.DefaultOptions()
+	opts.RTO = 500 * sim.Microsecond
+	env, p := build(t, 2, opts)
+	requests := 0
+	injectLoss(env.Net, 1.0, 5, func(pkt *netem.Packet) bool {
+		switch pkt.Type {
+		case netem.CreditReq:
+			requests++
+			return requests == 1
+		case netem.Probe:
+			return true
+		}
+		return false
+	})
+	done := runTrace(env, p, oneFlow(0, 1, 1000))
+	if done != 1 {
+		t.Fatal("flow whose request and probes were all lost never completed")
+	}
+	if requests != 2 {
+		t.Fatalf("sender sent %d credit requests, want 2 (the lost one and the one the receiver asked for)", requests)
+	}
+	if fin := env.FCT.Records()[0].Finish; fin < sim.Time(2*opts.RTO) {
+		t.Fatalf("finished at %v, before the receiver's ask could have fired", fin)
+	}
+}

@@ -291,6 +291,13 @@ func (r *rxHost) receive(pkt *netem.Packet) {
 		}
 	}
 	if fl.rx.Done {
+		// Late data for a finished flow whose sender lives on another shard:
+		// that sender cannot be disarmed from here, and if its final ACK was
+		// lost it retransmits until one gets through, so ACK again. A local
+		// sender was disarmed by the completion path below.
+		if pkt.Type == netem.Data && r.p.tbl.Sender(pkt.Flow) == nil {
+			fl.rx.SendAck(pkt.Seq, 0)
+		}
 		return
 	}
 	switch {
