@@ -123,7 +123,7 @@ scenario:
 # folded into BENCH_scale.json with the committed baseline preserved. Cells
 # run serially (wall-clock and RSS are process-wide), so expect minutes.
 scale:
-	$(GO) run ./cmd/aeolusscale -o BENCH_scale.json
+	$(GO) run ./cmd/aeolusbench -exp scale -o BENCH_scale.json
 
 # Scale-regression smoke for CI: the smallest fabric of the grid, both load
 # points, gated against the committed BENCH_scale.json baseline (events/sec

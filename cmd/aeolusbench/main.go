@@ -11,13 +11,24 @@
 //	aeolusbench -exp all -budget 512 -csv
 //	aeolusbench -exp all -quick -parallel 8
 //	aeolusbench -exp degrade -json > results/degradation.json
+//	aeolusbench -exp scale -o BENCH_scale.json
 //	aeolusbench -digest -scheme homa+aeolus
 //	aeolusbench -scenarios fig9 -quick
 //
 // -digest prints the golden-trace behavior digest for one scheme (or, with
 // no -scheme, for the whole catalogue) — the regeneration path for the
 // pinned table in internal/experiments/golden_test.go — with the digest of
-// the scenario declaring each golden run alongside.
+// the scenario declaring each golden run alongside. That the digests hold
+// under every scheduler, pool and shard setting is `make golden` and `make
+// shard-golden`'s job, not this flag's.
+//
+// -exp scale -o FILE also records the scale sweep's cells in a JSON ledger
+// (same layout as cmd/benchjson): a frozen "baseline" section alongside the
+// latest run. The first write seeds the baseline, and committing the file
+// freezes the reference the scale-smoke CI gates compare against. Cells run
+// serially, smallest fabric first, because wall-clock throughput and the
+// kernel's RSS high-water mark are process-wide. A cell with audit
+// violations still lands in the ledger, and the command exits 1.
 //
 // -scenarios prints the scenario values an experiment's runs resolve to as a
 // JSON array; each element is a self-contained scenario file runnable with
@@ -43,8 +54,11 @@ import (
 	"github.com/aeolus-transport/aeolus/internal/audit"
 	"github.com/aeolus-transport/aeolus/internal/cliutil"
 	"github.com/aeolus-transport/aeolus/internal/experiments"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 )
+
+// scaleLedgerNote describes a freshly created scale ledger; an existing
+// ledger keeps its own note.
+const scaleLedgerNote = "open-loop scale sweep: leafspine n x n, WebServer, xpass+aeolus, 100 flows/host"
 
 func main() {
 	var (
@@ -60,11 +74,10 @@ func main() {
 		quick     = flag.Bool("quick", false, "trim parameter sweeps")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
-		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each multi-pod fabric across goroutines, impairments included; deterministic; RNG-free schemes match the sequential run up to same-instant ties, DESIGN.md §13); with -digest, also verify the sharded digest matrix")
+		shards    = flag.Int("shards", 1, "spatial shards per run (>1 partitions each multi-pod fabric across goroutines, impairments included; deterministic; RNG-free schemes match the sequential run up to same-instant ties, DESIGN.md §13)")
 		progress  = flag.Bool("progress", stderrIsTerminal(), "report per-run progress on stderr")
 		auditOn   = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
-		nopool    = flag.Bool("nopool", false, "disable packet recycling (results are identical; for bisection)")
-		schedStr  = flag.String("sched", "", "event scheduler: wheel or heap (results are identical; for bisection)")
+		ledger    = flag.String("o", "", "with -exp scale: merge the measured cells into this JSON ledger (its baseline section is preserved)")
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables instead of aligned text")
 		impair    = flag.String("impair", "", "inline impairment timeline applied to every run, ';'-separated steps")
 		impFile   = flag.String("impair-file", "", "impairment timeline file, text or JSON (see internal/netem/timeline.go)")
@@ -74,7 +87,6 @@ func main() {
 	flag.Parse()
 	stopProfiles := cliutil.StartProfiles(*cpuProf, *memProf)
 	defer stopProfiles()
-	sched := cliutil.Scheduler(*schedStr)
 	timeline := cliutil.Timeline(*impair, *impFile)
 
 	if *list {
@@ -87,7 +99,7 @@ func main() {
 		return
 	}
 	if *digest {
-		printDigests(*schemeID, *shards)
+		printDigests(*schemeID)
 		return
 	}
 	if *scenarios != "" {
@@ -102,6 +114,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *ledger != "" && *exp != "scale" {
+		fmt.Fprintln(os.Stderr, "-o records the scale sweep's ledger; it needs -exp scale")
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Budget = *budget << 20
@@ -109,15 +125,15 @@ func main() {
 	cfg.Quick = *quick
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
-	cfg.DisablePool = *nopool
-	cfg.Scheduler = sched
 	cfg.Impair = timeline
 	if *progress {
 		cfg.Progress = experiments.ProgressPrinter(os.Stderr)
 	}
 	var auditMu sync.Mutex
 	var violated int
-	if *auditOn {
+	// The scale sweep audits every cell; recording a ledger tallies its
+	// violations so an unclean cell fails the command.
+	if *auditOn || *ledger != "" {
 		cfg.Audit = true
 		// Runs execute concurrently under the experiment pool; serialize both
 		// the tally and the stderr reporting.
@@ -181,20 +197,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *ledger != "" {
+		e.Fn = func(cfg experiments.Config) []experiments.Table {
+			points := experiments.RunScaleGrid(cfg)
+			if err := experiments.WriteScaleLedger(*ledger, scaleLedgerNote, points); err != nil {
+				stopProfiles()
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "wrote %d cells to %s\n", len(points), *ledger)
+			return []experiments.Table{experiments.ScaleTable(points)}
+		}
+	}
 	run(e)
 	finish()
 }
 
-// printDigests runs the golden trace — pool on and off, under both event
-// schedulers, and (with -shards > 1) with that shard count requested on top —
-// and prints, per scheme, the behavior digest in the goldenDigests table
-// format (for pasting into internal/experiments/golden_test.go after an
-// intentional behavior change) alongside the digest of the scenario that
-// declares the run: the pair ties "what was run" (scenario identity) to "what
-// it did" (behavior). Any divergence across the pool, scheduler or shard
-// matrix is an implementation bug, reported and exit 1. An unknown -scheme
-// gets the catalogue and exit 2.
-func printDigests(id string, shards int) {
+// printDigests runs the golden trace and prints, per scheme, the behavior
+// digest in the goldenDigests table format (for pasting into
+// internal/experiments/golden_test.go after an intentional behavior change)
+// alongside the digest of the scenario that declares the run: the pair ties
+// "what was run" (scenario identity) to "what it did" (behavior). An unknown
+// -scheme gets the catalogue and exit 2.
+func printDigests(id string) {
 	ids := []string{id}
 	if id == "" {
 		ids = ids[:0]
@@ -202,31 +227,14 @@ func printDigests(id string, shards int) {
 			ids = append(ids, e.ID)
 		}
 	}
-	shardVals := []int{1}
-	if shards > 1 {
-		shardVals = append(shardVals, shards)
-	}
 	for _, id := range ids {
-		var ref string
-		for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
-			for _, pool := range []bool{true, false} {
-				for _, sh := range shardVals {
-					d, err := experiments.GoldenDigestSharded(id, pool, sched, sh)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(2)
-					}
-					if ref == "" {
-						ref = d
-					} else if d != ref {
-						fmt.Fprintf(os.Stderr, "%s: digest diverges (sched=%s pool=%v shards=%d): %s vs %s\n", id, sched, pool, sh, d, ref)
-						os.Exit(1)
-					}
-				}
-			}
+		d, err := experiments.GoldenDigest(id, experiments.Config{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		sc := experiments.GoldenScenario(id)
-		fmt.Printf("%q: %q, // scenario %s\n", id, ref, sc.Digest())
+		fmt.Printf("%q: %q, // scenario %s\n", id, d, sc.Digest())
 	}
 }
 

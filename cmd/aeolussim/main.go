@@ -33,8 +33,9 @@
 // back through -scenario reproduces the flag-driven run bit-identically. With
 // -scenario, the run is fully determined by the scenario file: flags that
 // would change what the run computes (-topo, -scheme, -seed, ...) are
-// rejected, while runtime knobs (-audit, -parallel, -nopool, -trace, -cdf)
-// and an explicit -sched still apply.
+// rejected, while runtime knobs (-audit, -parallel, -shards, -trace, -cdf)
+// still apply. A flag-driven run is lifted into exactly that scenario and
+// checked like a file: an input the dump would reject never runs.
 package main
 
 import (
@@ -86,8 +87,6 @@ func main() {
 		trace    = flag.Uint64("trace", 0, "print a packet trace for this flow ID")
 		cdf      = flag.Bool("cdf", false, "print the small-flow FCT CDF (the paper's figure format)")
 		auditOn  = flag.Bool("audit", false, "verify packet-conservation invariants; exit 1 on any violation")
-		nopool   = flag.Bool("nopool", false, "disable packet recycling (results are identical; for bisection)")
-		schedStr = flag.String("sched", "", "event scheduler: wheel or heap (results are identical; for bisection)")
 		impair   = flag.String("impair", "", "inline impairment timeline, ';'-separated steps (e.g. '0s sw0->* loss rate=0.01; 50us sw0->h0 fail; 150us sw0->h0 restore')")
 		impFile  = flag.String("impair-file", "", "impairment timeline file, text or JSON (see internal/netem/timeline.go)")
 		scenFile = flag.String("scenario", "", "run this scenario file (JSON or canonical text) instead of building the run from flags")
@@ -114,103 +113,74 @@ func main() {
 	cfg.Parallel = *parallel
 	cfg.Shards = *shards
 	cfg.Audit = *auditOn
-	cfg.DisablePool = *nopool
-	cfg.Scheduler = cliutil.Scheduler(*schedStr)
 	cfg.Trace.TraceFlow = *trace
 
+	// Every run is a scenario: a -scenario file as written, or the flags
+	// lifted into one scenario per seed. Both get the same checks and the
+	// same lowering, so the flag path accepts exactly what a dumped and
+	// replayed scenario would.
+	var scns []*scenario.Scenario
 	if *scenFile != "" {
 		flag.Visit(func(f *flag.Flag) {
 			if semanticFlags[f.Name] {
 				cliutil.Die(fmt.Errorf("-%s conflicts with -scenario: the scenario file determines the run; edit it (or regenerate with -dump-scenario) instead", f.Name))
 			}
 		})
-		sc := cliutil.LoadScenario(*scenFile)
-		if *dumpScen != "" {
-			dumpScenario(sc, *dumpScen)
-			return
+		scns = append(scns, cliutil.LoadScenario(*scenFile))
+	} else {
+		wl := cliutil.Workload(*wlName)
+		tl := cliutil.Timeline(*impair, *impFile)
+		for i := 0; i < max(*runs, 1); i++ {
+			runSeed := *seed + uint64(i)
+			spec := experiments.RunSpec{
+				Scheme: experiments.SchemeSpec{
+					ID: *scheme, Workload: wl, Opts: opts,
+					RTO:       sim.Duration(*rtoUs) * sim.Microsecond,
+					Threshold: *thresh, Seed: runSeed,
+				},
+				Topo: *topo, Buffer: *buffer,
+				Workload: wl, CoreLoad: *load, Flows: *flows,
+				Deadline: sim.Duration(*deadline) * sim.Millisecond,
+				Impair:   tl,
+			}
+			if *incast > 0 {
+				spec.Incast = &workload.IncastConfig{
+					Fanin: *incast, Receiver: 0, MsgSize: *msg, Seed: runSeed,
+					StartAt: sim.Time(10 * sim.Microsecond),
+				}
+			}
+			sc, err := experiments.ToScenario(cfg, spec)
+			if err == nil {
+				err = experiments.CheckScenario(sc)
+			}
+			if err != nil {
+				cliutil.Die(err)
+			}
+			scns = append(scns, sc)
 		}
+	}
+	if *dumpScen != "" {
+		dumpScenario(scns[0], *dumpScen)
+		return
+	}
+
+	// Seed-replicated mode fans the runs across the pool. Each run derives
+	// everything from its own scenario, so the output is identical for every
+	// -parallel value.
+	pool := experiments.NewPool(cfg)
+	for _, sc := range scns {
 		sem, spec, err := experiments.FromScenario(sc)
 		if err != nil {
 			cliutil.Die(err)
 		}
-		run := cfg.ForScenario(sem)
-		if cfg.Scheduler != "" {
-			// An explicit -sched is a bisection knob and outranks the
-			// scenario's pin; results are identical either way.
-			run.Scheduler = cfg.Scheduler
-		}
-		r := experiments.Run(run, spec)
-		print1(r, *cdf)
-		exitOnViolations([]experiments.RunResult{r})
-		return
-	}
-
-	wl := cliutil.Workload(*wlName)
-	if wl == nil && *incast == 0 {
-		fmt.Fprintln(os.Stderr, "nothing to send: give -workload and/or -incast")
-		os.Exit(2)
-	}
-	if *runs < 1 {
-		*runs = 1
-	}
-	tl := cliutil.Timeline(*impair, *impFile)
-
-	specFor := func(runSeed uint64) experiments.RunSpec {
-		spec := experiments.RunSpec{
-			Scheme: experiments.SchemeSpec{
-				ID: *scheme, Workload: wl, Opts: opts,
-				RTO:       sim.Duration(*rtoUs) * sim.Microsecond,
-				Threshold: *thresh, Seed: runSeed,
-			},
-			Topo: *topo, Buffer: *buffer,
-			Workload: wl, CoreLoad: *load, Flows: *flows,
-			Deadline: sim.Duration(*deadline) * sim.Millisecond,
-			Impair:   tl,
-		}
-		if *incast > 0 {
-			spec.Incast = &workload.IncastConfig{
-				Fanin: *incast, Receiver: 0, MsgSize: *msg, Seed: runSeed,
-				StartAt: sim.Time(10 * sim.Microsecond),
-			}
-		}
-		return spec
-	}
-
-	// Validate the topology, the scheme (ID and -opt values) and the
-	// impairment timeline's targets up front: a bad spec gets an error on
-	// stderr instead of a panic mid-run.
-	cliutil.Topo(*topo)
-	if _, err := experiments.MakeScheme(specFor(*seed).Scheme); err != nil {
-		cliutil.Die(err)
-	}
-	if err := experiments.CheckImpair(cfg, specFor(*seed)); err != nil {
-		cliutil.Die(err)
-	}
-
-	if *dumpScen != "" {
-		sc, err := experiments.ToScenario(cfg, specFor(*seed))
-		if err != nil {
-			cliutil.Die(err)
-		}
-		dumpScenario(sc, *dumpScen)
-		return
-	}
-
-	if *runs == 1 {
-		r := experiments.Run(cfg, specFor(*seed))
-		print1(r, *cdf)
-		exitOnViolations([]experiments.RunResult{r})
-		return
-	}
-
-	// Seed-replicated mode: the same experiment over consecutive seeds, fanned
-	// across the pool. Each run derives everything from its own seed, so the
-	// output is identical for every -parallel value.
-	pool := experiments.NewPool(cfg)
-	for i := 0; i < *runs; i++ {
-		pool.Submit(specFor(*seed + uint64(i)))
+		pool.SubmitCfg(cfg.ForScenario(sem), spec)
 	}
 	results := pool.Collect()
+	if len(results) == 1 {
+		print1(results[0], *cdf)
+		exitOnViolations(results)
+		return
+	}
 	var smallMeans, allMeans, effs []float64
 	for i, r := range results {
 		fmt.Printf("run %-3d seed=%-5d small mean=%sus p99=%sus | all mean=%sus max=%sus | eff=%.3f timeouts=%d\n",
@@ -222,7 +192,7 @@ func main() {
 		allMeans = append(allMeans, r.All.Mean.Microseconds())
 		effs = append(effs, r.Efficiency)
 	}
-	fmt.Printf("\nacross %d seeds (%s, %s):\n", *runs, results[0].Scheme, *topo)
+	fmt.Printf("\nacross %d seeds (%s, %s):\n", len(results), results[0].Scheme, *topo)
 	fmt.Printf("  small-flow mean FCT  %.2f ± %.2f us\n", mean(smallMeans), stddev(smallMeans))
 	fmt.Printf("  all-flow mean FCT    %.2f ± %.2f us\n", mean(allMeans), stddev(allMeans))
 	fmt.Printf("  efficiency           %.3f ± %.3f\n", mean(effs), stddev(effs))

@@ -9,19 +9,18 @@ import (
 	"testing"
 
 	"github.com/aeolus-transport/aeolus/internal/experiments"
-	"github.com/aeolus-transport/aeolus/internal/sim"
 )
 
-func TestSchedulerValues(t *testing.T) {
-	if got := Scheduler(""); got != "" {
-		t.Errorf("Scheduler(\"\") = %q, want empty (harness decides)", got)
+// writeScenario writes an incast scenario on the given topology to a
+// temporary file and returns its path.
+func writeScenario(t *testing.T, topo string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.scn")
+	text := "topo " + topo + "\nscheme xpass\nincast fanin=2 msg=1000\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got := Scheduler("wheel"); got != sim.SchedWheel {
-		t.Errorf("Scheduler(wheel) = %q", got)
-	}
-	if got := Scheduler("heap"); got != sim.SchedHeap {
-		t.Errorf("Scheduler(heap) = %q", got)
-	}
+	return path
 }
 
 func TestTimelineLoading(t *testing.T) {
@@ -52,9 +51,11 @@ func TestWorkloadResolution(t *testing.T) {
 }
 
 func TestTopoAcceptsCatalogueAndClosGrammar(t *testing.T) {
-	// Topo only Dies on bad input; surviving these calls is the assertion.
-	Topo("leafspine")
-	Topo("micro")
+	// LoadScenario only Dies on bad input; surviving these calls is the
+	// assertion.
+	LoadScenario(writeScenario(t, "leafspine"))
+	LoadScenario(writeScenario(t, "micro"))
+	LoadScenario(writeScenario(t, "clos:8/8,hosts=8"))
 }
 
 func TestCataloguesReportsPrinted(t *testing.T) {
@@ -97,8 +98,6 @@ func TestDieExitPaths(t *testing.T) {
 		switch mode {
 		case "die":
 			Die(errors.New("boom"))
-		case "sched":
-			Scheduler("bogus-sched")
 		case "timeline":
 			Timeline("0s * explode", "")
 		case "timeline-both":
@@ -106,7 +105,7 @@ func TestDieExitPaths(t *testing.T) {
 		case "workload":
 			Workload("no-such-workload")
 		case "topo":
-			Topo("no-such-topo")
+			LoadScenario(writeScenario(t, "no-such-topo"))
 		case "scenario":
 			LoadScenario(filepath.Join(t.TempDir(), "missing.scn"))
 		}
@@ -116,7 +115,6 @@ func TestDieExitPaths(t *testing.T) {
 		mode, wantMsg string
 	}{
 		{"die", "boom"},
-		{"sched", "bogus-sched"},
 		{"timeline", "explode"},
 		{"timeline-both", "not both"},
 		{"workload", "no-such-workload"},

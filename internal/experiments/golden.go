@@ -55,36 +55,22 @@ func GoldenSpec(id string) RunSpec {
 	return spec
 }
 
-// GoldenDigest runs the golden trace for a scheme and returns the RunResult
-// digest, with the packet pool on or off, under the default scheduler.
-func GoldenDigest(id string, pool bool) (string, error) {
-	return GoldenDigestIn(id, pool, sim.DefaultScheduler)
-}
-
-// GoldenDigestIn is GoldenDigest with an explicit event scheduler. The digest
-// must be byte-identical for every scheduler — the wheel and the reference
-// heap fire events in the same (time, seq) order, so a divergence here means
-// a scheduler bug, not a behavior change.
-func GoldenDigestIn(id string, pool bool, sched sim.SchedulerKind) (string, error) {
-	return GoldenDigestSharded(id, pool, sched, 1)
-}
-
-// GoldenDigestSharded is GoldenDigestIn with a shard-count request on top of
-// the scheduler and pool axes — the full runtime-knob matrix. The golden
-// topology is a single switch, so every shard request collapses to the
-// sequential engine via netem.ShardCount; the digest staying pinned for any
-// -shards value is exactly the single-pod half of the sharding contract
-// (the multi-pod half is the differential test on a sharded fabric).
-func GoldenDigestSharded(id string, pool bool, sched sim.SchedulerKind, shards int) (string, error) {
-	spec := GoldenSpec(id)
+// GoldenDigest runs the golden trace for a scheme under cfg's runtime knobs
+// (the golden scenario supplies the semantic fields) and returns the
+// RunResult digest. The knobs that only change how a run executes — shard
+// count, the event scheduler, packet recycling — must leave the digest
+// byte-identical; the golden tests sweep that matrix. The golden topology is
+// a single switch, so any shard request collapses to the sequential engine.
+func GoldenDigest(id string, cfg Config) (string, error) {
+	sc := GoldenScenario(id)
+	sem, spec, err := FromScenario(&sc)
+	if err != nil {
+		return "", err
+	}
 	if _, err := MakeScheme(spec.Scheme); err != nil {
 		return "", err
 	}
-	cfg := GoldenConfig()
-	cfg.DisablePool = !pool
-	cfg.Scheduler = sched
-	cfg.Shards = shards
-	r := Run(cfg, spec)
+	r := Run(cfg.ForScenario(sem), spec)
 	return r.Digest(), nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/sim"
+	"github.com/aeolus-transport/aeolus/internal/transport"
 )
 
 // -sched restricts the golden-digest matrix to one scheduler, so CI can gate
@@ -19,14 +20,46 @@ var schedFlag = flag.String("sched", "", "restrict golden-digest runs to one sch
 
 // goldenSchedulers resolves the -sched flag to the scheduler set under test.
 func goldenSchedulers(t *testing.T) []sim.SchedulerKind {
-	if *schedFlag == "" {
+	switch kind := sim.SchedulerKind(*schedFlag); kind {
+	case "":
 		return []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap}
+	case sim.SchedWheel, sim.SchedHeap:
+		return []sim.SchedulerKind{kind}
 	}
-	kind, err := sim.ParseScheduler(*schedFlag)
+	t.Fatalf("-sched: unknown scheduler %q (want wheel or heap)", *schedFlag)
+	return nil
+}
+
+// withoutPool returns cfg with packet recycling turned off on every engine
+// of the run: every Get allocates and every Put discards. It disables each
+// pool from Observe, before any flow starts, and then calls cfg's own
+// Observe. Results must be identical either way — pooling changes object
+// identity, never event order — and the pool-off runs of the golden,
+// impaired, scenario and shard matrices prove it.
+func withoutPool(cfg Config) Config {
+	observe := cfg.Observe
+	cfg.Observe = func(net *netem.Network, env *transport.Env, p transport.Protocol) {
+		net.Pool.Disable()
+		if observe != nil {
+			observe(net, env, p)
+		}
+	}
+	return cfg
+}
+
+// goldenDigestAt is GoldenDigest under one cell of the runtime-knob matrix:
+// packet recycling on or off, the event scheduler, and a shard request.
+func goldenDigestAt(t *testing.T, id string, pool bool, sched sim.SchedulerKind, shards int) string {
+	t.Helper()
+	cfg := Config{Scheduler: sched, Shards: shards}
+	if !pool {
+		cfg = withoutPool(cfg)
+	}
+	d, err := GoldenDigest(id, cfg)
 	if err != nil {
-		t.Fatalf("-sched: %v", err)
+		t.Fatalf("GoldenDigest(%s, pool=%v, %s, shards=%d): %v", id, pool, sched, shards, err)
 	}
-	return []sim.SchedulerKind{kind}
+	return d
 }
 
 // goldenDigests pins the complete observable behavior of every scheme on the
@@ -66,11 +99,7 @@ func TestGoldenDigests(t *testing.T) {
 			t.Parallel()
 			for _, sched := range scheds {
 				for _, pool := range []bool{true, false} {
-					got, err := GoldenDigestIn(id, pool, sched)
-					if err != nil {
-						t.Fatalf("GoldenDigestIn(%s, pool=%v, %s): %v", id, pool, sched, err)
-					}
-					if got != want {
+					if got := goldenDigestAt(t, id, pool, sched, 1); got != want {
 						t.Errorf("golden digest drifted (sched=%s pool=%v):\n got  %s\n want %s", sched, pool, got, want)
 					}
 				}
@@ -109,8 +138,10 @@ func TestImpairedGoldenDeterminism(t *testing.T) {
 			spec.Impair = tl
 			digest := func(pool bool, sched sim.SchedulerKind) string {
 				cfg := GoldenConfig()
-				cfg.DisablePool = !pool
 				cfg.Scheduler = sched
+				if !pool {
+					cfg = withoutPool(cfg)
+				}
 				r := Run(cfg, spec)
 				if r.Completed != r.Total {
 					t.Fatalf("impaired run incomplete: %d of %d (sched=%s pool=%v)",
@@ -130,9 +161,7 @@ func TestImpairedGoldenDeterminism(t *testing.T) {
 					}
 				}
 			}
-			if pristine, err := GoldenDigest(id, true); err != nil {
-				t.Fatal(err)
-			} else if pristine == ref {
+			if pristine := goldenDigestAt(t, id, true, sim.DefaultScheduler, 1); pristine == ref {
 				t.Errorf("impaired digest equals pristine digest; impairments had no observable effect")
 			}
 		})

@@ -52,12 +52,6 @@ type Config struct {
 	// It must tolerate concurrent calls when runs execute under a Pool.
 	OnAudit func(spec RunSpec, rep *audit.Report)
 
-	// DisablePool turns off packet recycling for the run: every Get
-	// allocates and every Put discards. Results are identical either way
-	// (pooling changes object identity, never event order); the knob exists
-	// to prove exactly that, and to bisect should the two ever diverge.
-	DisablePool bool
-
 	// Impair, when non-nil, applies a scripted link-impairment timeline
 	// (netem.Timeline) to every run — the CLIs' -impair/-impair-file knob.
 	// Per-run RunSpec.Impair takes precedence. The timeline is applied after
@@ -68,12 +62,12 @@ type Config struct {
 	// Shards, when > 1, partitions every run's fabric spatially and runs one
 	// timing-wheel engine per shard on its own goroutine, synchronized
 	// conservatively on the minimum cross-shard link latency (see Run,
-	// netem.BuildShardedClos and sim.ShardGroup). Like Parallel, DisablePool
-	// and Scheduler it is a runtime knob, not part of a run's identity, and
-	// scenarios do not serialize it: a sharded run is deterministic, and for
-	// schemes that draw no per-flow randomness it equals the sequential run
-	// up to rare same-instant ties (the shard golden and differential tests
-	// keep proving it; DESIGN.md §13 lists the residual divergences). The request is clamped to
+	// netem.BuildShardedClos and sim.ShardGroup). Like Parallel it is a
+	// runtime knob, not part of a run's identity, and scenarios do not
+	// serialize it: a sharded run is deterministic, and for schemes that
+	// draw no per-flow randomness it equals the sequential run up to rare
+	// same-instant ties (the shard golden and differential tests keep
+	// proving it; DESIGN.md §13 lists the residual divergences). The request is clamped to
 	// the topology's pod structure (an edge switch and its hosts are never
 	// split); single-pod topologies collapse to one shard, the sequential
 	// engine. Sharding composes with impairment timelines and packet
@@ -81,11 +75,10 @@ type Config struct {
 	Shards int
 
 	// Scheduler selects the event-queue implementation backing every run's
-	// engine (sim.SchedWheel or sim.SchedHeap); empty means
-	// sim.DefaultScheduler. Results are identical either way — both
-	// schedulers fire events in the same (time, seq) order, and the golden
-	// digest test proves it — so, like DisablePool, the knob exists to keep
-	// proving that and to bisect should the two ever diverge.
+	// engine; empty means sim.DefaultScheduler, the timing wheel. No CLI or
+	// scenario sets it: it is the hook through which the tests run the
+	// reference heap (sim.SchedHeap) as an oracle and prove both schedulers
+	// fire events in the same (time, seq) order.
 	Scheduler sim.SchedulerKind
 
 	// Observe, when non-nil, is invoked after the topology, transport and
@@ -263,11 +256,7 @@ func Run(cfg Config, spec RunSpec) RunResult {
 	envs := make([]*transport.Env, shards)
 	protos := make([]transport.Protocol, shards)
 	for i := range envs {
-		view := sn.View(i)
-		if cfg.DisablePool {
-			view.Pool.Disable()
-		}
-		envs[i] = transport.NewEnv(view, scheme.MSS)
+		envs[i] = transport.NewEnv(sn.View(i), scheme.MSS)
 		protos[i] = scheme.New(envs[i])
 	}
 	if impair := cmp.Or(spec.Impair, cfg.Impair); impair != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestPoolOnOffIdenticalResults is the pooling correctness proof: every
-// scheme in the catalogue, run once with packet recycling and once with
-// Config.DisablePool, must produce byte-identical RunResults — every
+// scheme in the catalogue, run once with packet recycling and once without
+// (withoutPool), must produce byte-identical RunResults — every
 // summary, drop counter, CDF point and raw flow record. Pooling changes
 // which object carries a packet, never what happens to it. The sweep runs
 // under both event schedulers so the pooling proof holds on each.
@@ -24,8 +24,7 @@ func poolOnOffSweep(t *testing.T, sched sim.SchedulerKind) {
 	cfg := testConfig()
 	cfg.Audit = true
 	cfg.Scheduler = sched
-	off := cfg
-	off.DisablePool = true
+	off := withoutPool(cfg)
 	for _, spec := range auditSweepSpecs() {
 		id := spec.Scheme.ID
 		rOn := Run(cfg, spec)

@@ -223,7 +223,11 @@ func MeasureScale(cfg Config, width int, load float64) ScalePoint {
 // ScaleSweep is the "scale" registry entry: the full grid, serially,
 // smallest fabric first, one table row per cell.
 func ScaleSweep(cfg Config) []Table {
-	points := RunScaleGrid(cfg)
+	return []Table{ScaleTable(RunScaleGrid(cfg))}
+}
+
+// ScaleTable renders measured sweep cells, one row per cell.
+func ScaleTable(points []ScalePoint) Table {
 	t := Table{ID: "scale",
 		Title: "Open-loop scale sweep: simulator throughput and memory vs fabric size (WebServer, xpass+aeolus)",
 		Columns: []string{"hosts", "load", "shards", "flows", "completed", "events", "wall/s",
@@ -236,7 +240,7 @@ func ScaleSweep(cfg Config) []Table {
 			f1(float64(p.HeapPeakBytes)/(1<<20)), f1(p.StateBytesPerFlow),
 			auditMark(p.AuditClean))
 	}
-	return []Table{t}
+	return t
 }
 
 // RunScaleGrid measures every cell of the (width, load) grid in order —

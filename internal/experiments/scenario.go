@@ -16,11 +16,11 @@ import (
 // — the CLIs' -dump-scenario path. The split of Config fields is the
 // load-bearing idea:
 //
-//   - semantic fields (Budget, MinFlows, MaxFlows, Seed, Scheduler) are part
-//     of run identity and live in the scenario;
-//   - runtime knobs (Parallel, Progress, Audit, OnAudit, DisablePool,
-//     process-wide Impair, Observe, Trace) change how a run is executed or
-//     observed, never what it computes, and stay outside.
+//   - semantic fields (Budget, MinFlows, MaxFlows, Seed) are part of run
+//     identity and live in the scenario;
+//   - runtime knobs (Parallel, Progress, Audit, OnAudit, process-wide
+//     Impair, Shards, Scheduler, Observe, Trace) change how a run is
+//     executed or observed, never what it computes, and stay outside.
 //
 // ForScenario layers the two: a scenario's semantic config over the
 // caller's runtime knobs.
@@ -44,11 +44,10 @@ func FromScenario(sc *scenario.Scenario) (Config, RunSpec, error) {
 		}
 	}
 	cfg := Config{
-		Budget:    sc.Budget,
-		MinFlows:  sc.MinFlows,
-		MaxFlows:  sc.MaxFlows,
-		Seed:      sc.Seed,
-		Scheduler: sc.Scheduler,
+		Budget:   sc.Budget,
+		MinFlows: sc.MinFlows,
+		MaxFlows: sc.MaxFlows,
+		Seed:     sc.Seed,
 	}
 	spec := RunSpec{
 		Scheme: SchemeSpec{
@@ -107,7 +106,6 @@ func ToScenario(cfg Config, spec RunSpec) (*scenario.Scenario, error) {
 		Flows:      spec.Flows,
 		Buffer:     spec.Buffer,
 		Deadline:   spec.Deadline,
-		Scheduler:  cfg.Scheduler,
 		Impair:     spec.Impair,
 	}
 	if spec.Scheme.Workload != spec.Workload {
@@ -133,18 +131,27 @@ func ToScenario(cfg Config, spec RunSpec) (*scenario.Scenario, error) {
 	return sc, nil
 }
 
-// CheckScenario is the full validation of a scenario file: the structural
-// checks of scenario.Validate plus the semantic resolution the harness would
-// do — the topology catalogue, the scheme catalogue with its options, and a
-// dry application of the impairment timeline against the built topology. A
-// scenario error reads exactly like the CLI flag error it replaces.
+// CheckScenario is the full validation of a scenario: the structural checks
+// of scenario.Validate plus the semantic resolution the harness would do —
+// the topology catalogue (with at least two hosts, and the incast receiver
+// among them), the scheme catalogue with its options, and a dry application
+// of the impairment timeline against the built topology. Inputs the harness
+// cannot run get an error here instead of a panic mid-run.
 func CheckScenario(sc *scenario.Scenario) error {
 	cfg, spec, err := FromScenario(sc)
 	if err != nil {
 		return err
 	}
-	if _, err := ResolveTopo(spec.Topo); err != nil {
+	topo, err := ResolveTopo(spec.Topo)
+	if err != nil {
 		return err
+	}
+	hosts := topo.Hosts()
+	if hosts < 2 {
+		return fmt.Errorf("experiments: topology %s has %d host(s); a run needs at least 2", spec.Topo, hosts)
+	}
+	if ic := spec.Incast; ic != nil && ic.Receiver >= hosts {
+		return fmt.Errorf("experiments: incast receiver %d is not a host of %s (hosts 0..%d)", ic.Receiver, spec.Topo, hosts-1)
 	}
 	if _, err := MakeScheme(spec.Scheme); err != nil {
 		return err
@@ -154,26 +161,14 @@ func CheckScenario(sc *scenario.Scenario) error {
 
 // ForScenario layers a scenario's semantic config (sem, the first return of
 // FromScenario) over the receiver's runtime knobs, yielding the Config the
-// run executes under. The scenario's scheduler wins only when it pins one.
+// run executes under.
 func (c Config) ForScenario(sem Config) Config {
 	out := c
 	out.Budget = sem.Budget
 	out.MinFlows = sem.MinFlows
 	out.MaxFlows = sem.MaxFlows
 	out.Seed = sem.Seed
-	if sem.Scheduler != "" {
-		out.Scheduler = sem.Scheduler
-	}
 	return out
-}
-
-// RunScenario executes one scenario under the caller's runtime knobs.
-func RunScenario(rt Config, sc *scenario.Scenario) (RunResult, error) {
-	sem, spec, err := FromScenario(sc)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return Run(rt.ForScenario(sem), spec), nil
 }
 
 // runScenarios is the scenario-declared counterpart of runAll: every

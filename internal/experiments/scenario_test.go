@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/aeolus-transport/aeolus/internal/netem"
 	"github.com/aeolus-transport/aeolus/internal/scenario"
 	"github.com/aeolus-transport/aeolus/internal/sim"
 )
@@ -124,6 +126,48 @@ func TestRegistryScenarioDigests(t *testing.T) {
 	}
 }
 
+// TestCheckScenarioRejects holds CheckScenario to its contract: a scenario
+// that passes runs, and one that cannot run gets an error naming the
+// problem instead of a panic mid-run.
+func TestCheckScenarioRejects(t *testing.T) {
+	incast := func(topo string, fanin, receiver int) scenario.Scenario {
+		return scenario.Scenario{Topo: topo, Scheme: "xpass+aeolus",
+			Incast: &scenario.IncastSpec{Fanin: fanin, Receiver: receiver, MsgSize: 20_000}}
+	}
+	poisson := poissonScenario(DefaultConfig(), "homa", "WebServer", "clos:1,hosts=1", 0.4)
+	badImpair := incast(TopoMicro, 2, 0)
+	badImpair.Impair = &netem.Timeline{Steps: []netem.TimelineStep{{Target: "nosuch->*", Action: netem.ActFail}}}
+	badOpt := incast(TopoMicro, 2, 0)
+	badOpt.Opts = map[string]string{"warp": "9"}
+	cases := []struct {
+		name string
+		sc   scenario.Scenario
+		want string
+	}{
+		{"unknown topo", incast("no-such-topo", 2, 0), "no-such-topo"},
+		{"unknown option", badOpt, "warp"},
+		{"impair target", badImpair, "nosuch"},
+		{"receiver off fabric", incast(TopoMicro, 4, 99), "receiver 99"},
+		{"receiver one past", incast(TopoMicro, 4, 24), "receiver 24"},
+		{"one-host incast", incast("clos:1,hosts=1", 2, 0), "at least 2"},
+		{"one-host poisson", poisson, "at least 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckScenario(&tc.sc)
+			if err == nil {
+				t.Fatalf("CheckScenario accepted a scenario that cannot run:\n%s", tc.sc.Text())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+	if sc := incast(TopoMicro, 4, 23); CheckScenario(&sc) != nil {
+		t.Errorf("the last host of micro rejected as incast receiver: %v", CheckScenario(&sc))
+	}
+}
+
 // TestScenarioDrivenGolden is the acceptance criterion of the scenario
 // refactor made executable: serializing a golden scenario to its canonical
 // text, parsing it back, and running it through the scenario path
@@ -146,7 +190,10 @@ func TestScenarioDrivenGolden(t *testing.T) {
 			}
 			for _, sched := range goldenSchedulers(t) {
 				for _, pool := range []bool{true, false} {
-					rt := Config{DisablePool: !pool, Scheduler: sched}
+					rt := Config{Scheduler: sched}
+					if !pool {
+						rt = withoutPool(rt)
+					}
 					r := Run(rt.ForScenario(sem), spec)
 					if got, want := r.Digest(), goldenDigests[id]; got != want {
 						t.Errorf("scenario-driven golden diverged (sched=%s pool=%v):\n got  %s\n want %s",
@@ -197,18 +244,15 @@ func TestToScenarioRoundTrip(t *testing.T) {
 func TestForScenarioKeepsRuntimeKnobs(t *testing.T) {
 	rt := DefaultConfig()
 	rt.Parallel = 7
-	rt.DisablePool = true
+	rt.Shards = 3
+	rt.Audit = true
 	rt.Scheduler = sim.SchedHeap
 	sem := Config{Budget: 1 << 20, MinFlows: 3, MaxFlows: 9, Seed: 42}
 	out := rt.ForScenario(sem)
 	if out.Budget != 1<<20 || out.MinFlows != 3 || out.MaxFlows != 9 || out.Seed != 42 {
 		t.Errorf("semantic fields not layered: %+v", out)
 	}
-	if out.Parallel != 7 || !out.DisablePool || out.Scheduler != sim.SchedHeap {
+	if out.Parallel != 7 || out.Shards != 3 || !out.Audit || out.Scheduler != sim.SchedHeap {
 		t.Errorf("runtime knobs lost: %+v", out)
-	}
-	sem.Scheduler = sim.SchedWheel
-	if out := rt.ForScenario(sem); out.Scheduler != sim.SchedWheel {
-		t.Errorf("scenario-pinned scheduler ignored: %+v", out)
 	}
 }

@@ -229,21 +229,14 @@ func TestShardGoldenMatrix(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			want, err := GoldenDigestSharded(id, true, sim.SchedWheel, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := goldenDigestAt(t, id, true, sim.SchedWheel, 1)
 			if pinned, ok := goldenDigests[id]; ok && want != pinned {
 				t.Fatalf("shards=1 digest drifted from pinned golden:\n got  %s\n want %s", want, pinned)
 			}
 			for _, shards := range []int{2, 4} {
 				for _, sched := range []sim.SchedulerKind{sim.SchedWheel, sim.SchedHeap} {
 					for _, pool := range []bool{true, false} {
-						got, err := GoldenDigestSharded(id, pool, sched, shards)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
+						if got := goldenDigestAt(t, id, pool, sched, shards); got != want {
 							t.Errorf("digest diverged (shards=%d sched=%s pool=%v):\n got  %s\n want %s",
 								shards, sched, pool, got, want)
 						}

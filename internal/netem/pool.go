@@ -41,7 +41,7 @@ type PoolObserver interface {
 // through the fabric by pointer — but every pointer aims into the slab, and
 // each slab packet knows its slot (Packet.PoolSlot) so observers can key
 // per-packet state by dense index. A disabled pool allocates individually
-// instead, preserving the old release-to-GC behavior for -nopool runs.
+// instead, so a run without recycling releases packets to the GC.
 type PacketPool struct {
 	free     []*Packet
 	chunks   []*[PacketChunkSize]Packet
@@ -116,8 +116,8 @@ func (pp *PacketPool) Get() *Packet {
 		segs := p.SegList[:0]
 		*p = Packet{SegList: segs, slot: p.slot}
 	} else if pp.disabled {
-		// No recycling: individual allocations keep -nopool runs GC-bounded
-		// instead of retaining every packet ever issued in the slab.
+		// No recycling: individual allocations keep runs without recycling
+		// GC-bounded instead of retaining every packet ever issued in the slab.
 		p = &Packet{}
 		pp.allocs++
 	} else {

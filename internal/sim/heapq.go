@@ -8,10 +8,10 @@ import (
 // ordered by (time, schedAt, seq). Every operation is O(log n); Cancel is a
 // true removal via the event's stored heap position, so the heap never holds
 // a canceled event (the wheel keeps tombstones). It exists as the differential
-// baseline for the wheel (FuzzSchedulerEquivalence, the golden digests) and
-// as the -sched=heap escape hatch. The sift routines mirror container/heap;
-// since (time, schedAt, seq) is a strict total order (seq is unique), pop
-// order does not depend on the internal heap shape anyway.
+// baseline for the wheel (FuzzSchedulerEquivalence, the golden digests). The
+// sift routines mirror container/heap; since (time, schedAt, seq) is a strict
+// total order (seq is unique), pop order does not depend on the internal heap
+// shape anyway.
 type heapQueue struct {
 	sl   *eventSlab
 	h    []uint32
